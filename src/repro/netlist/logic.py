@@ -104,6 +104,11 @@ class Netlist:
         #: :class:`~repro.netlist.sim.CompiledNetlist` tagged with the
         #: ``version`` it was built from; stale entries are recompiled).
         self._compiled_cache = None
+        #: ``(version, gates, registers)`` and ``(version, levels)``: the
+        #: size and depth queries the pass manager asks around every pass,
+        #: cached against ``version`` like :meth:`content_hash`.
+        self._counts_cache: Optional[tuple[int, int, int]] = None
+        self._levels_cache: Optional[tuple[int, int]] = None
         #: Per-pass statistics attached by :func:`repro.netlist.opt.optimize`
         #: (``None`` until the netlist has been produced by the optimizer).
         self.opt_stats: Optional[list] = None
@@ -226,17 +231,24 @@ class Netlist:
     def gate(self, gid: int) -> Gate:
         return self.gates[gid]
 
+    def _counts(self) -> tuple[int, int, int]:
+        cached = self._counts_cache
+        if cached is None or cached[0] != self.version:
+            registers = sum(1 for g in self.gates.values() if g.is_register)
+            sources = sum(1 for g in self.gates.values() if g.is_source)
+            cached = (self.version, len(self.gates) - sources - registers,
+                      registers)
+            self._counts_cache = cached
+        return cached
+
     @property
     def num_gates(self) -> int:
         """Number of combinational gates (excludes sources and registers)."""
-        return sum(
-            1 for g in self.gates.values()
-            if not g.is_source and not g.is_register
-        )
+        return self._counts()[1]
 
     @property
     def num_registers(self) -> int:
-        return sum(1 for g in self.gates.values() if g.is_register)
+        return self._counts()[2]
 
     @property
     def registers(self) -> list[int]:
@@ -371,7 +383,11 @@ class Netlist:
         return gate.fanins
 
     def logic_levels(self) -> int:
-        """Longest combinational path length in gate levels."""
+        """Longest combinational path length in gate levels (cached
+        against ``version``)."""
+        cached = self._levels_cache
+        if cached is not None and cached[0] == self.version:
+            return cached[1]
         level: dict[int, int] = {}
         for gid in self.topological_order():
             gate = self.gates[gid]
@@ -379,7 +395,9 @@ class Netlist:
                 level[gid] = 0
             else:
                 level[gid] = 1 + max((level[f] for f in gate.fanins), default=0)
-        return max(level.values(), default=0)
+        levels = max(level.values(), default=0)
+        self._levels_cache = (self.version, levels)
+        return levels
 
     def stats(self) -> dict[str, int]:
         """Basic size statistics of the netlist."""

@@ -7,6 +7,9 @@ This is the shared truth-table kernel behind DAG-aware rewriting
 * :func:`enumerate_cuts` computes, bottom-up, the k-feasible cuts of every
   node in a cone — each cut a set of *leaf* nodes such that every path from
   the node to the primary inputs passes through a leaf.
+* :func:`enumerate_cut_truths` does the same at ``k=4`` and also returns
+  each cut's truth table, composed from its fanin cuts' tables while the
+  cut is merged (the rewriter's path: no cone is re-simulated).
 * :func:`cut_truth` evaluates a cut's cone with packed *elementary* words
   (:func:`repro.netlist.sim.elementary_words` fed through
   :func:`repro.netlist.sim.packed_eval` — the same word-parallel core that
@@ -29,11 +32,12 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
-from ..aig import AIG
+from ..aig import _AND, AIG
 from ..sim import elementary_words, packed_eval
 
 __all__ = [
     "enumerate_cuts",
+    "enumerate_cut_truths",
     "cut_cone",
     "cut_truth",
     "npn_canon",
@@ -49,31 +53,131 @@ _ONES4 = 0xFFFF
 # Cut enumeration
 # ---------------------------------------------------------------------------
 
-def _merge_leaves(a: Sequence[int], b: Sequence[int], k: int
-                  ) -> Optional[tuple[int, ...]]:
-    """Sorted-merge of two ascending leaf tuples; None if the union > k."""
-    out: list[int] = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            out.append(x)
-            i += 1
-            j += 1
-        elif x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-        if len(out) > k:
-            return None
-    out.extend(a[i:])
-    out.extend(b[j:])
-    if len(out) > k:
-        return None
-    return tuple(out)
+#: Truth table of a trivial cut ``(node,)``: variable 0 over 4 inputs.
+_VAR0 = 0xAAAA
+
+#: ``_SWAPS[i][j]`` (i < j) is the ``(delta, mask)`` pair exchanging
+#: variables ``i`` and ``j`` of a 4-input truth table by a delta swap:
+#: ``mask`` marks the minterms with bit ``i`` set and bit ``j`` clear,
+#: whose partners lie ``delta`` positions higher.
+_SWAPS: list[list[tuple[int, int]]] = [
+    [((1 << j) - (1 << i),
+      sum(1 << m for m in range(16) if (m >> i) & 1 and not (m >> j) & 1))
+     for j in range(4)]
+    for i in range(4)
+]
+
+
+def _stretch(tt: int, leaves: Sequence[int], union: Sequence[int]) -> int:
+    """Re-express a 4-input table over ``leaves`` over ``union``.
+
+    ``leaves`` is an ascending subset of the ascending ``union``, so leaf
+    ``j`` moves to its position ``p >= j`` in the union.  Placing leaves
+    from the highest down, position ``p`` is always a variable the table
+    does not depend on yet, so one delta swap of ``j`` and ``p`` moves it.
+    """
+    n = len(leaves)
+    if n == len(union):
+        return tt
+    p = len(union) - 1
+    for j in range(n - 1, -1, -1):
+        leaf = leaves[j]
+        while union[p] != leaf:
+            p -= 1
+        if p != j:
+            delta, mask = _SWAPS[j][p]
+            t = (tt ^ (tt >> delta)) & mask
+            tt ^= t | (t << delta)
+        p -= 1
+    return tt
+
+
+def _enumerate(aig: AIG, k: int, limit: int, nodes: Optional[Sequence[int]],
+               truths: Optional[dict[int, list[int]]]
+               ) -> dict[int, list[tuple[int, ...]]]:
+    """Shared body of :func:`enumerate_cuts` and
+    :func:`enumerate_cut_truths` (which passes ``truths`` to fill)."""
+    if nodes is None:
+        nodes = sorted(aig.cone(aig.and_roots()))
+    kinds = aig._kind
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    cuts: dict[int, list[tuple[int, ...]]] = {}
+    # Per-cut signatures: one bit per leaf id mod 64.  A union's
+    # signature is the OR of its halves', and its popcount never exceeds
+    # the true leaf count, so ``popcount > k`` rejects a merge exactly
+    # before any tuple is built; likewise a kept cut whose signature has
+    # a bit outside a candidate's cannot dominate it.
+    sigs: dict[int, list[int]] = {}
+    for nid in nodes:
+        if kinds[nid] != _AND:
+            cuts[nid] = [(nid,)]
+            sigs[nid] = [1 << (nid & 63)]
+            if truths is not None:
+                truths[nid] = [_VAR0]
+            continue
+        f0 = fanin0[nid]
+        f1 = fanin1[nid]
+        n0 = f0 >> 1
+        n1 = f1 >> 1
+        c0 = cuts.get(n0) or [(n0,)]
+        c1 = cuts.get(n1) or [(n1,)]
+        s0 = sigs.get(n0) or [1 << (n0 & 63)]
+        s1 = sigs.get(n1) or [1 << (n1 & 63)]
+        # Pairwise unions of at most k leaves, bucketed by size so the
+        # concatenation is the stable smallest-first order; each entry
+        # remembers the fanin cuts it came from.
+        by_size: list[list[tuple]] = [[] for _ in range(k + 1)]
+        seen: set[tuple[int, ...]] = set()
+        for i, a in enumerate(c0):
+            sa = s0[i]
+            for j, sb in enumerate(s1):
+                sig = sa | sb
+                if sig.bit_count() > k:
+                    continue
+                uset = set(a)
+                uset.update(c1[j])
+                size = len(uset)
+                if size > k:
+                    continue
+                union = tuple(sorted(uset))
+                if union in seen:
+                    continue
+                seen.add(union)
+                by_size[size].append((union, uset, sig, i, j))
+        kept: list[tuple[int, ...]] = [(nid,)]
+        kept_sigs: list[int] = [1 << (nid & 63)]
+        origins: list[tuple[int, int]] = []
+        kept_sets: list[tuple[int, set]] = []
+        for bucket in by_size:
+            for union, uset, sig, i, j in bucket:
+                outside = ~sig
+                for psig, prev in kept_sets:
+                    if not psig & outside and prev <= uset:
+                        break
+                else:
+                    kept.append(union)
+                    kept_sigs.append(sig)
+                    kept_sets.append((sig, uset))
+                    origins.append((i, j))
+                    if len(origins) >= limit:
+                        break
+            else:
+                continue
+            break
+        sigs[nid] = kept_sigs
+        cuts[nid] = kept
+        if truths is not None:
+            t0 = truths.get(n0) or [_VAR0]
+            t1 = truths.get(n1) or [_VAR0]
+            neg0 = _ONES4 if f0 & 1 else 0
+            neg1 = _ONES4 if f1 & 1 else 0
+            tables = [_VAR0]
+            for union, (i, j) in zip(kept[1:], origins):
+                tables.append((_stretch(t0[i], c0[i], union) ^ neg0)
+                              & (_stretch(t1[j], c1[j], union) ^ neg1))
+            truths[nid] = tables
+    return cuts
 
 
 def enumerate_cuts(aig: AIG, k: int = 4, limit: int = 8,
@@ -91,38 +195,25 @@ def enumerate_cuts(aig: AIG, k: int = 4, limit: int = 8,
     first.  The cap is what makes this a *priority*-cut enumeration: cost
     is linear in ``limit**2`` per node instead of exponential.
     """
-    if nodes is None:
-        nodes = sorted(aig.cone(aig.and_roots()))
-    cuts: dict[int, list[tuple[int, ...]]] = {}
-    for nid in nodes:
-        if not aig.is_and(nid):
-            cuts[nid] = [(nid,)]
-            continue
-        f0, f1 = aig.fanins(nid)
-        c0 = cuts.get(f0 >> 1) or [(f0 >> 1,)]
-        c1 = cuts.get(f1 >> 1) or [(f1 >> 1,)]
-        merged: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for a in c0:
-            for b in c1:
-                union = _merge_leaves(a, b, k)
-                if union is None or union in seen:
-                    continue
-                seen.add(union)
-                merged.append(union)
-        merged.sort(key=len)
-        kept: list[tuple[int, ...]] = []
-        kept_sets: list[set[int]] = []
-        for cand in merged:
-            cset = set(cand)
-            if any(prev <= cset for prev in kept_sets):
-                continue
-            kept.append(cand)
-            kept_sets.append(cset)
-            if len(kept) >= limit:
-                break
-        cuts[nid] = [(nid,)] + kept
-    return cuts
+    return _enumerate(aig, k, limit, nodes, None)
+
+
+def enumerate_cut_truths(aig: AIG, limit: int = 8,
+                         nodes: Optional[Sequence[int]] = None
+                         ) -> tuple[dict[int, list[tuple[int, ...]]],
+                                    dict[int, list[int]]]:
+    """:func:`enumerate_cuts` at ``k=4``, plus every cut's truth table.
+
+    Returns ``(cuts, truths)`` where ``truths[n][i]`` is the 16-bit table
+    of node ``n`` over ``cuts[n][i]``, padded to 4 variables (the unused
+    high variables are don't-cares) — :func:`cut_truth` up to padding.
+    Each table is composed while the cut is merged, as in ABC's
+    DAG-aware rewriting: the two fanin cuts' tables are stretched onto
+    the union's leaf positions, complemented per fanin literal and ANDed,
+    so no cone is re-simulated.
+    """
+    truths: dict[int, list[int]] = {}
+    return _enumerate(aig, 4, limit, nodes, truths), truths
 
 
 def cut_cone(aig: AIG, root: int, leaves: Iterable[int]) -> list[int]:

@@ -47,7 +47,14 @@ _XOR_FAMILY = {GateType.XOR: False, GateType.XNOR: True}
 
 
 class Pass:
-    """Base class: a named netlist-to-netlist transformation."""
+    """Base class: a named netlist-to-netlist transformation.
+
+    Contract: ``run`` is deterministic in its input netlist and the pass's
+    constructor arguments, and never mutates its input.  The
+    :class:`~repro.netlist.opt.pipeline.PassManager` relies on this to
+    reuse a pass's output when the same pass meets an input with the same
+    ``content_hash()`` again within one run.
+    """
 
     name = "pass"
 

@@ -106,6 +106,13 @@ class PassManager:
     The pipeline is re-run while a full iteration still improves gate count
     or logic depth, bounded by ``max_iterations``.  Every pass execution is
     timed and recorded as a :class:`PassStats` row.
+
+    Within one :meth:`run`, each pass's outputs are memoized on its input's
+    :meth:`~repro.netlist.logic.Netlist.content_hash`.  A pass handed an
+    input it has already transformed (typically the fixpoint's confirming
+    iteration) returns the stored output instead of running again; this
+    relies on the :class:`~repro.netlist.opt.passes.Pass` contract.  Such a
+    row carries ``details={"memo_hit": True}`` and the lookup's time.
     """
 
     def __init__(self, passes: Optional[Sequence[PassSpec]] = None,
@@ -119,6 +126,7 @@ class PassManager:
     def run(self, netlist: Netlist) -> tuple[Netlist, list[PassStats]]:
         stats: list[PassStats] = []
         tracer = get_tracer()
+        memo: dict[tuple[int, str], Netlist] = {}
         current = netlist
         for iteration in range(1, self.max_iterations + 1):
             gates = current.num_gates
@@ -129,11 +137,21 @@ class PassManager:
                 with tracer.span(f"opt.{opt_pass.name}",
                                  iteration=iteration,
                                  gates=before["gates"]) as span:
-                    current = opt_pass.run(current)
+                    key = (id(opt_pass), current.content_hash())
+                    output = memo.get(key)
+                    if output is None:
+                        output = memo[key] = opt_pass.run(current)
+                        details = getattr(opt_pass, "stats_dict",
+                                          lambda: None)()
+                    else:
+                        details = {"memo_hit": True}
+                        span.set(memo_hit=True)
+                        if tracer.enabled:
+                            tracer.metrics.counter("opt.memo_hits").inc()
+                    current = output
                     elapsed = time.perf_counter() - start
                     after = current.stats()
                     span.set(gates_after=after["gates"])
-                details = getattr(opt_pass, "stats_dict", lambda: None)()
                 stats.append(PassStats(
                     name=opt_pass.name,
                     iteration=iteration,

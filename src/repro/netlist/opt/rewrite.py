@@ -1,11 +1,11 @@
 """DAG-aware rewriting: replace 4-cut cones with optimal NPN structures.
 
 The classic ABC ``rewrite`` pass on this repo's hash-consed AIG.  For
-every AND node, in topological order, the pass enumerates its 4-feasible
-cuts (:func:`repro.netlist.opt.cut.enumerate_cuts`), computes each cut's
-truth table with the packed simulator, and asks whether instantiating the
-precomputed size-optimal structure for the function's NPN class would
-beat rebuilding the node as-is:
+every AND node, in topological order, the pass takes its 4-feasible cuts
+with their truth tables (:func:`repro.netlist.opt.cut.enumerate_cut_truths`
+composes each table while it merges the cut) and asks whether
+instantiating the precomputed size-optimal structure for the function's
+NPN class would beat rebuilding the node as-is:
 
 * *saved* is the size of the node's maximal fanout-free cone w.r.t. the
   cut — the nodes that die with it, measured by the standard
@@ -14,7 +14,9 @@ beat rebuilding the node as-is:
   insert, probed against the output graph's unique table *without*
   inserting anything — logic already built (by earlier replacements, by
   sharing with untouched cones) is free, which is what makes the pass
-  DAG-aware rather than tree-local.
+  DAG-aware rather than tree-local.  Each probe gets the budget
+  ``saved - max(baseline gain, best gain so far)`` and stops once its
+  cost exceeds it: such a candidate could not be accepted anyway.
 
 On top of the structural probe, every sweep keeps a *functional
 cut-sweep table*: each committed node registers, for every cut evaluated
@@ -42,7 +44,7 @@ from typing import Optional
 from ...obs import get_tracer
 from ..aig import _AND, AIG, from_netlist, to_netlist
 from ..logic import Netlist
-from .cut import cut_truth, enumerate_cuts, npn_canon, npn_transforms
+from .cut import enumerate_cut_truths, npn_canon, npn_transforms
 from .npn4 import NPN4_LIBRARY
 from .passes import Pass
 
@@ -118,8 +120,9 @@ _VIRT_BASE = 1 << 40
 
 
 def _probe_structure(new: AIG, levels: dict[int, int], root: int,
-                     nodes: tuple, slots: list[int]
-                     ) -> tuple[int, int, Optional[int]]:
+                     nodes: tuple, slots: list[int],
+                     budget: Optional[int] = None
+                     ) -> Optional[tuple[int, int, Optional[int]]]:
     """Dry-run a library structure against ``new``'s unique table.
 
     Mirrors :meth:`AIG.aig_and`'s folding exactly but inserts nothing:
@@ -127,8 +130,13 @@ def _probe_structure(new: AIG, levels: dict[int, int], root: int,
     else becomes a virtual literal costing one node.  Returns
     ``(cost, level, real_root_lit)`` where ``real_root_lit`` is the
     concrete output literal when the whole structure resolved to existing
-    logic (cost 0), else None.
+    logic (cost 0), else None.  With a ``budget`` the probe stops as soon
+    as the cost exceeds it and returns None instead.
     """
+    if budget is None:
+        budget = len(nodes)
+    elif budget < 0:
+        return None
     table = new._table
     vtable: dict[tuple[int, int], int] = {}
     vlevel: dict[int, int] = {}
@@ -155,6 +163,8 @@ def _probe_structure(new: AIG, levels: dict[int, int], root: int,
                 r = vnext
                 vnext += 2
                 cost += 1
+                if cost > budget:
+                    return None
                 la = vlevel.get(a >> 1)
                 if la is None:
                     la = levels.get(a >> 1, 0)
@@ -205,7 +215,7 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
     for lit in aig.and_roots():
         refs[lit >> 1] += 1
 
-    cuts = enumerate_cuts(aig, 4, cut_limit, live)
+    cuts, truths = enumerate_cut_truths(aig, cut_limit, live)
     new = AIG(aig.name)
     levels: dict[int, int] = {0: 0}
     lit_map: dict[int, int] = {0: 0}
@@ -239,16 +249,15 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
         d_gain = 1 - d_cost
 
         best = None
+        best_gain = d_gain
         cut_keys: list[tuple[int, tuple[int, int, int, int], int]] = []
-        for cut in cuts[nid][1:]:
+        for cut, tt4 in zip(cuts[nid][1:], truths[nid][1:]):
             if len(cut) < 2:
                 continue
             stats.cuts_evaluated += 1
             leaves = set(cut)
             saved = _deref_cone(aig, refs, nid, leaves, replaced)
             _ref_cone(aig, refs, nid, leaves, replaced)
-            tt = cut_truth(aig, nid, cut)
-            tt4 = tt if len(cut) == 4 else _pad(tt, len(cut))
             canon = npn_canon(tt4)[0]
             lib_root, lib_nodes = NPN4_LIBRARY[canon]
             leaf_lits = [lit_map[leaf] for leaf in cut]
@@ -272,10 +281,15 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
                     level = levels.get(hit >> 1, 0)
                     cand = (gain, level, cut, 0, (), [0], hit ^ out)
                 else:
+                    # A structure costing more than the budget could
+                    # beat neither the baseline nor the best candidate.
                     root = lib_root ^ out
                     slots = [0, *inputs]
-                    cost, level, real = _probe_structure(
-                        new, levels, root, lib_nodes, slots)
+                    probe = _probe_structure(new, levels, root, lib_nodes,
+                                             slots, saved - best_gain)
+                    if probe is None:
+                        continue
+                    cost, level, real = probe
                     gain = saved - cost
                     cand = (gain, level, cut, root, lib_nodes, slots, real)
                 if gain < d_gain or (gain == d_gain and level > d_level) or \
@@ -285,6 +299,7 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
                 if best is None or gain > best[0] or \
                         (gain == best[0] and level < best[1]):
                     best = cand
+                    best_gain = gain
 
         if best is None:
             lit_map[nid] = _build_structure(new, levels, 10, ((2, 4),),
@@ -321,15 +336,6 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
     return new
 
 
-def _pad(tt: int, num_vars: int) -> int:
-    span = 1 << num_vars
-    tt &= (1 << span) - 1
-    while span < 16:
-        tt |= tt << span
-        span <<= 1
-    return tt
-
-
 def _copy_live(aig: AIG) -> AIG:
     """Compact: copy only the live cone into a fresh AIG (drops the
     garbage that probing-then-rebuilding leaves in the unique table)."""
@@ -360,8 +366,11 @@ def rewrite_aig(aig: AIG, cut_limit: int = 8, max_sweeps: int = 8,
 
     Each sweep rebuilds the live cone once (see :func:`_sweep`); sweeps
     repeat while the live AND count strictly improves, up to
-    ``max_sweeps``.  Purely structural — no SAT calls — so the cost is a
-    small constant factor over plain strashing.  ``zero_cost=True``
+    ``max_sweeps``.  Purely structural — no SAT calls — but still the
+    most expensive stock pass by far: every AND probes up to
+    ``cut_limit`` cuts times several NPN transforms, so on the flow
+    designs it takes most of :func:`repro.netlist.opt.optimize` while
+    strashing takes a few percent.  ``zero_cost=True``
     additionally commits replacements that change neither size nor
     level, diversifying structure (useful ahead of mapping) at the cost
     of extra churn per sweep.

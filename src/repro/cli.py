@@ -144,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream the solver's DRAT proof (learned-clause additions "
              "and deletions) to FILE during --check (implies --check)")
     parser.add_argument(
-        "--encoding", choices=("aig", "gate"), default="aig",
-        help="miter construction for --check: the shared hash-consed AIG "
-             "(default) or the legacy gate-level Tseitin encoding")
-    parser.add_argument(
         "--no-preprocess", action="store_true",
         help="skip SatELite-style CNF preprocessing (subsumption, "
              "self-subsuming resolution, bounded variable elimination) "
@@ -350,8 +346,7 @@ def _execute(args, out, tracer) -> int:
         eq_report = None
         if args.cache and not args.solve_log:
             from .server.cache import ResultCache, content_key
-            options = {"encoding": args.encoding,
-                       "certify": args.certify,
+            options = {"certify": args.certify,
                        "preprocess": not args.no_preprocess}
             cache = ResultCache(args.cache)
             cache_key = content_key(lhs.content_hash(),
@@ -361,8 +356,7 @@ def _execute(args, out, tracer) -> int:
         if eq_report is None:
             try:
                 verdict = check_equivalence(
-                    lhs, rhs, encoding=args.encoding,
-                    certify=args.certify, proof=proof,
+                    lhs, rhs, certify=args.certify, proof=proof,
                     preprocess=not args.no_preprocess,
                     jobs=max(1, args.jobs))
             except CECError as exc:

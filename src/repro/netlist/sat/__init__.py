@@ -1,5 +1,5 @@
-"""SAT machinery for the netlist IR: Tseitin CNF encoding, a small CDCL
-solver, and miter-based combinational equivalence checking.
+"""SAT machinery for the netlist IR: Tseitin CNF encoding of AIG cones, a
+small CDCL solver, and miter-based combinational equivalence checking.
 
 Typical use::
 
@@ -24,20 +24,14 @@ code with the solver.
 from .cec import (
     CECError,
     Counterexample,
+    Decision,
     EquivalenceResult,
-    build_miter,
-    build_miter_aig,
     check_equivalence,
+    decide,
     replay_counterexample,
 )
-from .cnf import CNF, aig_lit_sat, encode_aig_cone, encode_cone, encode_gate
-from .partition import (
-    PartitionedVerdict,
-    PartitionOptions,
-    extract_cone,
-    partition_pairs,
-    solve_pairs_parallel,
-)
+from .cnf import CNF, aig_lit_sat, encode_aig_cone
+from .partition import extract_cone, partition_pairs, solve_pairs_parallel
 from .preprocess import PreprocessResult, PreprocessStats, preprocess
 from .proof import (
     DratCheckResult,
@@ -53,17 +47,13 @@ __all__ = [
     "CECError",
     "Counterexample",
     "EquivalenceResult",
-    "build_miter",
-    "build_miter_aig",
+    "Decision",
     "check_equivalence",
+    "decide",
     "replay_counterexample",
     "CNF",
     "aig_lit_sat",
     "encode_aig_cone",
-    "encode_cone",
-    "encode_gate",
-    "PartitionOptions",
-    "PartitionedVerdict",
     "extract_cone",
     "partition_pairs",
     "solve_pairs_parallel",

@@ -7,41 +7,40 @@ outputs by register name), and the disjunction of the XORs is asserted.
 The formula is satisfiable exactly when some input/state assignment makes
 the designs disagree, so **UNSAT proves equivalence**.
 
-The default construction works at AIG level (``encoding="aig"``): both
-netlists are lowered into *one* shared hash-consed
-:class:`~repro.netlist.aig.AIG` over common input/latch nodes, so any
-logic the two designs share merges in the unique table **before the solver
-ever sees it** — root pairs that hash to the same literal are proven
-structurally, for free.  The legacy gate-level encoding
-(``encoding="gate"``) Tseitin-encodes both netlists separately and
-remains available for comparison benchmarks.
+The check is a sequence of stage functions over one small context
+(:class:`_Miter`), each owning its ``cec.*`` span:
 
-The pairs hashing cannot settle run through a staged pipeline that tries
-progressively heavier artillery, in order:
-
-1. **simulation refutation check** — the shared miter AIG is simulated
-   under a batch of packed random patterns
+1. **lower** (``cec.lower``) — both netlists are lowered into *one*
+   shared hash-consed :class:`~repro.netlist.aig.AIG` over common
+   input/latch nodes, so any logic the two designs share merges in the
+   unique table before the solver ever sees it: root pairs that hash to
+   the same literal are proven structurally, for free.
+2. **simcheck** (``cec.simcheck``) — the miter AIG is simulated under a
+   batch of packed random patterns
    (:func:`~repro.netlist.sim.aig_signatures`); any pattern on which a
-   root pair disagrees *is* a complete counterexample, extracted and
-   replayed without a single solver conflict.  Easy-SAT instances never
-   pay CDCL start-up cost.
-2. **SAT sweeping of the miter** (FRAIG-style, shared with the optimizer
-   via :func:`~repro.netlist.opt.fraig.fraig_sweep_map`) — internal
-   points the two designs implement identically but with different
-   structure merge under incremental, assumption-gated SAT; root pairs
-   whose cones collapse onto the same literal are *sweep-proven* and
-   skip the top-level solve.  Distinguishing patterns found by refuted
-   sweep candidates are re-checked against the surviving root pairs.
-3. **structure-aware encoding** — the surviving cones are encoded with
-   XOR/MUX/majority pattern matching
-   (:func:`~repro.netlist.sat.cnf.encode_aig_cone` ``structural=True``),
-   then simplified by the SatELite-style CNF preprocessor
-   (:func:`~repro.netlist.sat.preprocess.preprocess`) with the shared
-   input/state variables frozen, so counterexample models reconstruct.
-4. **guided CDCL** — the solver's saved phases are seeded from the
-   simulation signatures' majority votes and its initial VSIDS
-   activities from cone fanout counts, pointing the search at the
-   miter's hot variables from decision one.
+   root pair disagrees *is* a complete counterexample, replayed without a
+   single solver conflict.
+3. **sweep** (``cec.sweep``) — FRAIG-style SAT sweeping of the miter,
+   shared with the optimizer via
+   :func:`~repro.netlist.opt.fraig.fraig_sweep_map`: internal points the
+   designs implement identically but with different structure merge under
+   incremental, assumption-gated SAT, and root pairs whose cones collapse
+   onto one literal are *sweep-proven*.  The patterns that refuted sweep
+   candidates re-run the simcheck on the surviving pairs.
+4. **decide** (:func:`decide`) — structure-aware encoding of the
+   surviving cones (``cec.encode``,
+   :func:`~repro.netlist.sat.cnf.encode_aig_cone`), SatELite-style CNF
+   preprocessing with the shared input/state variables frozen
+   (``cec.preprocess``), CDCL with saved phases seeded from the
+   simulation signatures and VSIDS activity from cone fanout
+   (``cec.solve``), model readback, and DRAT certification
+   (``cec.certify``).  With ``jobs > 1`` the partition workers of
+   :mod:`~repro.netlist.sat.partition` run this same function on their
+   shards (``cec.parallel`` / ``cec.partition``).
+5. **replay** (``cec.replay``) — a SAT verdict is never returned raw: the
+   assignment is replayed through the compiled simulation engine on both
+   netlists (:func:`replay_counterexample`) to confirm the disagreement
+   and name the differing signals, guarding against encoder bugs.
 
 Matching registers by name makes this a register-correspondence sequential
 check: optimization passes preserve flip-flop names, so proving every
@@ -51,13 +50,10 @@ optimizer are allowed — their Q nets stay as free variables of the original
 netlist only, so a register that still mattered would show up as an output
 or next-state disagreement.
 
-A SAT verdict is never returned raw: the model is replayed through the
-compiled simulation engine on both netlists (:func:`replay_counterexample`)
-to confirm the disagreement and name the differing signals, guarding
-against encoder bugs.  Certification survives every stage: preprocessing
-emits RUP-checkable DRAT steps into the same proof log the solver extends,
-sweep merges are certified per-merge inside the sweep, and an UNSAT
-verdict is checked against the *original* (pre-preprocessing) CNF.
+Certification survives every stage: preprocessing emits RUP-checkable DRAT
+steps into the same proof log the solver extends, sweep merges are
+certified per-merge inside the sweep, and an UNSAT verdict is checked
+against the *original* (pre-preprocessing) CNF.
 """
 
 from __future__ import annotations
@@ -65,15 +61,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from ...obs import attach_solver_progress, get_tracer
 from ..aig import AIG, insert_netlist
 from ..elaborate import _split_bit_name
-from ..logic import Gate, GateType, Netlist
+from ..logic import Netlist
 from ..sim import aig_signatures, simulate_compiled
-from .cnf import CNF, aig_lit_sat, encode_aig_cone, encode_cone
-from .partition import PartitionOptions, solve_pairs_parallel
+from .cnf import CNF, aig_lit_sat, encode_aig_cone
 from .preprocess import preprocess as simplify_cnf
 from .proof import ProofLog, check_drat
 from .solver import Solver, SolverResult, SolverStats
@@ -89,6 +84,15 @@ _SWEEP_MIN_ANDS = 256
 #: structure-free miters (cross-implementation arithmetic) every sweep
 #: query is a hard monolithic proof and one guided top-level solve wins.
 _SWEEP_MIN_DENSITY = 0.2
+
+#: Why a replayed assignment that shows no disagreement is a bug, by the
+#: stage that produced it.
+_REPLAY_ERRORS = {
+    "simulation": "miter simulation disagrees but netlist replay does not "
+                  "(AIG lowering bug)",
+    "solver": "solver returned a model but simulation shows no "
+              "disagreement (CNF encoding bug)",
+}
 
 
 class CECError(Exception):
@@ -141,17 +145,15 @@ class EquivalenceResult:
     #: Number of (output + next-state) functions compared by the miter.
     compared: int = 0
     #: Wall time spent building the miter (lowering, simulation checks,
-    #: Tseitin encoding) vs solving it.
+    #: Tseitin encoding) vs solving it.  CNF preprocessing is in neither:
+    #: it is ``preprocessor["seconds"]``.
     encode_seconds: float = 0.0
     solve_seconds: float = 0.0
-    #: Miter construction used ("aig" or "gate").
-    encoding: str = "aig"
     #: Size of the CNF handed to the solver (before preprocessing).
     cnf_vars: int = 0
     cnf_clauses: int = 0
     #: Root pairs proven equal structurally (identical AIG literals in the
-    #: shared unique table) — they never reach the solver.  Always 0 for
-    #: the gate-level encoding.
+    #: shared unique table) — they never reach the solver.
     hash_proven: int = 0
     #: DRAT certification (``certify=True`` / ``proof=``).  ``proof_checked``
     #: is True/False when UNSAT evidence was run through the independent
@@ -197,7 +199,9 @@ class EquivalenceResult:
         report = {
             "equivalent": self.equivalent,
             "compared": self.compared,
-            "encoding": self.encoding,
+            # The shared AIG miter is the only construction; the key stays
+            # so reports keep one schema across versions.
+            "encoding": "aig",
             "hash_proven": self.hash_proven,
             "cnf_vars": self.cnf_vars,
             "cnf_clauses": self.cnf_clauses,
@@ -228,6 +232,69 @@ class EquivalenceResult:
                 "diff": self.counterexample.diff,
             }
         return report
+
+
+@dataclass
+class Decision:
+    """Outcome of :func:`decide` on one miter (or, merged, on all shards).
+
+    ``inputs`` / ``state`` are the model's leaf assignment by name (SAT
+    only; leaves outside every encoded cone are absent).  ``partitions``
+    is the shard count when the decision merges a parallel run, else 0.
+    """
+
+    satisfiable: bool
+    inputs: Optional[dict[str, int]] = None
+    state: Optional[dict[str, int]] = None
+    stats: SolverStats = field(default_factory=SolverStats)
+    cnf_vars: int = 0
+    cnf_clauses: int = 0
+    encode_seconds: float = 0.0
+    solve_seconds: float = 0.0
+    preprocessor: Optional[dict] = None
+    proof_checked: Optional[bool] = None
+    proof_clauses: int = 0
+    proof_bytes: int = 0
+    proof_check_seconds: float = 0.0
+    partitions: int = 0
+
+
+@dataclass
+class _Miter:
+    """The context the stages of :func:`check_equivalence` share."""
+
+    before: Netlist
+    after: Netlist
+    #: The enclosing ``cec`` span (stages annotate it).
+    span: Any
+    certify: bool
+    #: The working miter graph: the lowered AIG, or the swept one.
+    aig: AIG
+    #: Leaf literals by name in the *lowered* AIG (stimulus ``words`` are
+    #: keyed by their node ids) and in the working ``aig``.
+    pi_lits: dict[str, int]
+    latch_lits: dict[str, int]
+    in_lits: dict[str, int]
+    st_lits: dict[str, int]
+    #: Root pairs not yet proven, as ``(before_lit, after_lit)``.
+    pairs: list[tuple[int, int]]
+    compared: int
+    hash_proven: int
+    #: Packed stimulus per leaf node and the signatures it produced.
+    words: Optional[dict[int, int]] = None
+    num_patterns: int = 0
+    sigs: Any = None
+    sweep_stats: Any = None
+    sweep_proven: int = 0
+    sweep_seconds: float = 0.0
+    #: Lowering + simulation-check wall time.
+    encode_seconds: float = 0.0
+    #: Worker processes used by the decide stage (1 when it ran serially).
+    jobs: int = 1
+
+    @property
+    def mask(self) -> int:
+        return (1 << self.num_patterns) - 1
 
 
 def _interface(netlist: Netlist) -> tuple[dict[str, int], dict[str, int],
@@ -273,65 +340,13 @@ def _assert_disagreement(cnf: CNF,
     cnf.add_clause(*disagree)
 
 
-def build_miter(before: Netlist, after: Netlist
-                ) -> tuple[CNF, dict[str, int], dict[str, int],
-                           list[tuple[str, str, int, int]]]:
-    """Encode the gate-level miter of two netlists.
+def _lower(before: Netlist, after: Netlist, span, certify: bool) -> _Miter:
+    """Stage 1: lower both netlists into one shared hash-consed miter AIG.
 
-    Returns ``(cnf, input_vars, state_vars, compared)`` where ``input_vars``
-    / ``state_vars`` map primary-input bit names and flip-flop names to
-    their shared CNF variables and ``compared`` lists
-    ``(kind, name, before_var, after_var)`` for every matched root pair.
+    Root pairs whose literals are already equal merged in the unique
+    table; the rest become the context's ``pairs``.
     """
-    b_in, b_out, b_regs = _interface(before)
-    a_in, a_out, a_regs = _interface(after)
-    _check_interfaces(b_in, a_in, b_out, a_out)
-    tracer = get_tracer()
-
-    cnf = CNF()
-    input_vars = {name: cnf.new_var() for name in sorted(b_in)}
-    state_vars = {
-        name: cnf.new_var() for name in sorted(set(b_regs) | set(a_regs))
-    }
-
-    def leaf_var(gate: Gate) -> int:
-        if gate.gtype == GateType.INPUT:
-            return input_vars[gate.name or f"pi_{gate.gid}"]
-        return state_vars[gate.name or f"dff_{gate.gid}"]
-
-    shared_regs = sorted(set(b_regs) & set(a_regs))
-    b_roots = list(b_out.values()) + \
-        [before.gates[b_regs[name]].fanins[0] for name in shared_regs]
-    a_roots = list(a_out.values()) + \
-        [after.gates[a_regs[name]].fanins[0] for name in shared_regs]
-    with tracer.span("cec.encode", design=before.name, side="before"):
-        b_map = encode_cone(cnf, before, b_roots, leaf_var)
-    with tracer.span("cec.encode", design=after.name, side="after"):
-        a_map = encode_cone(cnf, after, a_roots, leaf_var)
-
-    compared: list[tuple[str, str, int, int]] = []
-    for name in sorted(b_out):
-        compared.append(("output", name,
-                         b_map[b_out[name]], a_map[a_out[name]]))
-    for name in shared_regs:
-        compared.append(("next_state", name,
-                         b_map[before.gates[b_regs[name]].fanins[0]],
-                         a_map[after.gates[a_regs[name]].fanins[0]]))
-
-    _assert_disagreement(cnf, [(b, a) for _, _, b, a in compared])
-    return cnf, input_vars, state_vars, compared
-
-
-def _lower_miter(before: Netlist, after: Netlist
-                 ) -> tuple[AIG, dict[str, int], dict[str, int],
-                            list[tuple[str, str, int, int]]]:
-    """Lower both netlists into one shared hash-consed miter AIG.
-
-    Returns ``(aig, pi_lits, latch_lits, named_pairs)``: the shared graph,
-    the input/latch literal per leaf name, and one
-    ``(kind, name, before_lit, after_lit)`` entry per matched root pair.
-    Pairs whose literals are already equal merged in the unique table.
-    """
+    start = time.perf_counter()
     b_in, b_out, b_regs = _interface(before)
     a_in, a_out, a_regs = _interface(after)
     _check_interfaces(b_in, a_in, b_out, a_out)
@@ -354,81 +369,25 @@ def _lower_miter(before: Netlist, after: Netlist
             maps.append(insert_netlist(aig, netlist, input_lits, reg_lits))
     b_map, a_map = maps
 
-    named_pairs: list[tuple[str, str, int, int]] = []
-    for name in sorted(b_out):
-        named_pairs.append(("output", name,
-                            b_map[b_out[name]], a_map[a_out[name]]))
-    for name in shared_regs:
-        named_pairs.append(
-            ("next_state", name,
-             b_map[before.gates[b_regs[name]].fanins[0]],
-             a_map[after.gates[a_regs[name]].fanins[0]]))
-    return aig, pi_lits, latch_lits, named_pairs
-
-
-def _encode_pairs(cnf: CNF, aig: AIG, pairs: list[tuple[int, int]],
-                  pi_lits: dict[str, int], latch_lits: dict[str, int],
-                  structural: bool
-                  ) -> tuple[dict[int, int], dict[str, int], dict[str, int]]:
-    """Encode the cones of the differing pairs and assert the miter output.
-
-    Returns ``(var_map, input_vars, state_vars)``.  Leaves outside every
-    encoded cone never get a variable: they cannot influence the verdict
-    and default to 0 in counterexamples.
-    """
-    roots = [lit for pair in pairs for lit in pair]
-    var_map = encode_aig_cone(cnf, aig, roots, structural=structural)
-    _assert_disagreement(cnf, [
-        (aig_lit_sat(var_map, b), aig_lit_sat(var_map, a))
-        for b, a in pairs
-    ])
-    input_vars: dict[str, int] = {}
-    state_vars: dict[str, int] = {}
-    for name, lit in pi_lits.items():
-        var = var_map.get(lit >> 1)
-        if var is not None:
-            input_vars[name] = var
-    for name, lit in latch_lits.items():
-        var = var_map.get(lit >> 1)
-        if var is not None:
-            state_vars[name] = var
-    return var_map, input_vars, state_vars
-
-
-def build_miter_aig(before: Netlist, after: Netlist,
-                    structural: bool = True
-                    ) -> tuple[CNF, dict[str, int], dict[str, int],
-                               int, int]:
-    """Encode the miter of two netlists at AIG level.
-
-    Both designs are lowered into one shared hash-consed AIG over common
-    primary-input and latch nodes, so structurally equal cones merge before
-    encoding.  Root pairs that end up as the *same literal* are proven
-    equal by hashing alone; only the remaining pairs are encoded
-    (``structural=True`` pattern-matches XOR/MUX/majority cones, see
-    :func:`~repro.netlist.sat.cnf.encode_aig_cone`) and XOR-ed.  Returns
-    ``(cnf, input_vars, state_vars, compared, hash_proven)`` — when
-    ``hash_proven == compared`` the CNF is empty and the designs are
-    equivalent with no solving at all.
-    """
-    tracer = get_tracer()
-    aig, pi_lits, latch_lits, named_pairs = _lower_miter(before, after)
-    differing = [(b, a) for _, _, b, a in named_pairs if b != a]
-    hash_proven = len(named_pairs) - len(differing)
+    named_pairs = [("output", name, b_map[b_out[name]], a_map[a_out[name]])
+                   for name in sorted(b_out)]
+    named_pairs += [
+        ("next_state", name,
+         b_map[before.gates[b_regs[name]].fanins[0]],
+         a_map[after.gates[a_regs[name]].fanins[0]])
+        for name in shared_regs]
     if tracer.enabled:
         for kind, name, b, a in named_pairs:
             tracer.instant("cec.pair", kind=kind, name=name,
                            hash_proven=(b == a))
-    cnf = CNF()
-    input_vars: dict[str, int] = {}
-    state_vars: dict[str, int] = {}
-    if differing:
-        with tracer.span("cec.encode", design=before.name,
-                         pairs=len(differing)) as span:
-            _, input_vars, state_vars = _encode_pairs(
-                cnf, aig, differing, pi_lits, latch_lits, structural)
-            span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
-    return cnf, input_vars, state_vars, len(named_pairs), hash_proven
+    pairs = [(b, a) for _, _, b, a in named_pairs if b != a]
+    ctx = _Miter(before, after, span, certify, aig, pi_lits, latch_lits,
+                 in_lits=pi_lits, st_lits=latch_lits, pairs=pairs,
+                 compared=len(named_pairs),
+                 hash_proven=len(named_pairs) - len(pairs))
+    ctx.encode_seconds = time.perf_counter() - start
+    span.set(compared=ctx.compared, hash_proven=ctx.hash_proven)
+    return ctx
 
 
 def _lit_sig(sigs, mask: int, lit: int) -> int:
@@ -447,39 +406,39 @@ def _first_diff_bit(sigs, mask: int,
     return None
 
 
-def _pattern_assignment(words: dict[int, int], pi_lits: dict[str, int],
-                        latch_lits: dict[str, int], bit: int
-                        ) -> tuple[dict[str, int], dict[str, int]]:
-    """Extract stimulus pattern ``bit`` as named input/state assignments."""
-    inputs = {name: (words[lit >> 1] >> bit) & 1
-              for name, lit in pi_lits.items()}
-    state = {name: (words[lit >> 1] >> bit) & 1
-             for name, lit in latch_lits.items()}
-    return inputs, state
+def _simcheck(ctx: _Miter, **span_args) -> Optional[Counterexample]:
+    """Stage 2: simulate the working miter under the context's stimulus.
 
-
-def _confirm_sim_refutation(before: Netlist, after: Netlist,
-                            words: dict[int, int],
-                            pi_lits: dict[str, int],
-                            latch_lits: dict[str, int],
-                            bit: int) -> Counterexample:
-    """Replay a simulation-found distinguishing pattern into a confirmed
-    :class:`Counterexample` (same guard as the solver path)."""
-    inputs, state = _pattern_assignment(words, pi_lits, latch_lits, bit)
-    diffs = replay_counterexample(before, after, inputs, state)
-    if not diffs:
-        raise CECError(
-            "miter simulation disagrees but netlist replay does not "
-            "(AIG lowering bug)"
+    Returns the replay-confirmed counterexample of the first pattern a
+    surviving pair disagrees on, or None.  The signatures stay on the
+    context for the sweep policy and solver seeding.
+    """
+    start = time.perf_counter()
+    with get_tracer().span("cec.simcheck", patterns=ctx.num_patterns,
+                           pairs=len(ctx.pairs), **span_args) as span:
+        ctx.sigs = aig_signatures(
+            ctx.aig,
+            [ctx.words[lit >> 1] for lit in ctx.pi_lits.values()],
+            [ctx.words[lit >> 1] for lit in ctx.latch_lits.values()],
+            ctx.mask,
         )
-    return Counterexample(inputs=inputs, state=state, diff=diffs)
+        bit = _first_diff_bit(ctx.sigs, ctx.mask, ctx.pairs)
+        span.set(refuted=bit is not None)
+    ctx.encode_seconds += time.perf_counter() - start
+    if bit is None:
+        return None
+    inputs = {name: (ctx.words[lit >> 1] >> bit) & 1
+              for name, lit in ctx.pi_lits.items()}
+    state = {name: (ctx.words[lit >> 1] >> bit) & 1
+             for name, lit in ctx.latch_lits.items()}
+    return _replay(ctx, inputs, state, "simulation")
 
 
-def _sweep_worthwhile(aig: AIG, sigs, mask: int,
-                      pairs: list[tuple[int, int]]) -> bool:
+def _sweep_worthwhile(ctx: _Miter) -> bool:
     """``sweep="auto"`` policy: candidate-merge density of the differing
-    cone, measured on the signatures stage 1 already computed."""
-    roots = [lit for pair in pairs for lit in pair]
+    cone, measured on the signatures the simcheck already computed."""
+    aig, sigs, mask = ctx.aig, ctx.sigs, ctx.mask
+    roots = [lit for pair in ctx.pairs for lit in pair]
     cone_ands = [nid for nid in aig.cone(roots) if aig.is_and(nid)]
     if len(cone_ands) < _SWEEP_MIN_ANDS:
         return False
@@ -494,8 +453,76 @@ def _sweep_worthwhile(aig: AIG, sigs, mask: int,
     return candidates >= _SWEEP_MIN_DENSITY * len(cone_ands)
 
 
+def _sweep(ctx: _Miter, patterns: int, seed: int, solver_factory) -> None:
+    """Stage 3: SAT-sweep the miter AIG.
+
+    Internal equivalences the unique table missed collapse under
+    incremental SAT; pairs whose cones merge drop out of ``ctx.pairs``.
+    The context moves onto the swept graph and its enriched stimulus.
+    """
+    # Imported lazily: opt.fraig imports sat.cnf/proof/solver, so a
+    # module-level import here would be circular.
+    from ..opt.fraig import FraigStats, fraig_sweep_map
+
+    tracer = get_tracer()
+    start = time.perf_counter()
+    stats = FraigStats()
+    with tracer.span("cec.sweep", ands=ctx.aig.num_ands,
+                     pairs=len(ctx.pairs)) as span:
+        # The simcheck's stimulus and signatures are handed to the sweep
+        # so its first round does not resimulate.
+        swept = fraig_sweep_map(
+            ctx.aig, patterns=patterns, seed=seed, stats=stats,
+            solver_factory=solver_factory, certify=ctx.certify,
+            words=ctx.words, signatures=ctx.sigs)
+        mapped = [(swept.map_lit(b), swept.map_lit(a)) for b, a in ctx.pairs]
+        ctx.pairs = [(b, a) for b, a in mapped if b != a]
+        ctx.sweep_proven = len(mapped) - len(ctx.pairs)
+        span.set(sweep_proven=ctx.sweep_proven, remaining=len(ctx.pairs))
+    ctx.sweep_seconds = time.perf_counter() - start
+    ctx.sweep_stats = stats
+    ctx.aig = swept.aig
+    ctx.in_lits = {name: swept.map_lit(lit)
+                   for name, lit in ctx.pi_lits.items()}
+    ctx.st_lits = {name: swept.map_lit(lit)
+                   for name, lit in ctx.latch_lits.items()}
+    ctx.words = swept.words
+    ctx.num_patterns = swept.num_patterns
+    ctx.span.set(sweep_proven=ctx.sweep_proven)
+    if tracer.enabled:
+        tracer.metrics.absorb("cec.sweep", {
+            "proven": stats.proven,
+            "refuted": stats.refuted,
+            "pairs_proven": ctx.sweep_proven,
+        })
+
+
+def _encode_pairs(cnf: CNF, aig: AIG, pairs: list[tuple[int, int]],
+                  pi_lits: dict[str, int], latch_lits: dict[str, int],
+                  structural: bool
+                  ) -> tuple[dict[int, int], dict[str, int], dict[str, int]]:
+    """Encode the cones of the differing pairs and assert the miter output.
+
+    Returns ``(var_map, input_vars, state_vars)``.  Leaves outside every
+    encoded cone never get a variable: they cannot influence the verdict
+    and default to 0 in counterexamples.
+    """
+    roots = [lit for pair in pairs for lit in pair]
+    var_map = encode_aig_cone(cnf, aig, roots, structural=structural)
+    _assert_disagreement(cnf, [
+        (aig_lit_sat(var_map, b), aig_lit_sat(var_map, a))
+        for b, a in pairs
+    ])
+    input_vars = {name: var_map[lit >> 1] for name, lit in pi_lits.items()
+                  if (lit >> 1) in var_map}
+    state_vars = {name: var_map[lit >> 1]
+                  for name, lit in latch_lits.items()
+                  if (lit >> 1) in var_map}
+    return var_map, input_vars, state_vars
+
+
 def _seed_solver(solver, var_map: dict[int, int], aig: AIG,
-                 sigs, mask: int, num_patterns: int) -> None:
+                 sigs, num_patterns: int) -> None:
     """Seed saved phases from simulation majority votes and initial VSIDS
     activity from cone fanout counts, when the engine supports either.
 
@@ -508,6 +535,7 @@ def _seed_solver(solver, var_map: dict[int, int], aig: AIG,
     heavily shared signals are decided early, like the fanout-weighted
     variable orders of circuit-aware SAT solvers.
     """
+    mask = (1 << num_patterns) - 1
     seed_phases = getattr(solver, "seed_phases", None)
     if seed_phases is not None:
         seed_phases({
@@ -528,6 +556,200 @@ def _seed_solver(solver, var_map: dict[int, int], aig: AIG,
                 var_map[nid]: 0.5 * count / top
                 for nid, count in fanout.items() if nid in var_map
             })
+
+
+def decide(aig: AIG, pairs: list[tuple[int, int]],
+           input_lits: dict[str, int], latch_lits: dict[str, int], *,
+           structural: bool = True, preprocess: bool = True,
+           certify: bool = False, proof: Optional[ProofLog] = None,
+           solver_factory=Solver, sigs=None,
+           num_patterns: int = 0) -> Decision:
+    """Stage 4: decide whether any root pair of a miter AIG can differ.
+
+    Encodes the cones of ``pairs`` (``structural`` XOR/MUX/majority
+    matching) and asserts their disagreement, preprocesses the CNF with
+    the named leaf variables (``input_lits`` / ``latch_lits``) frozen,
+    solves it — saved phases and activities seeded from ``sigs``, the
+    packed ``num_patterns``-wide node signatures, when given — reads a
+    model back as named leaf values, and on UNSAT under ``certify``
+    RUP-checks the proof against the original CNF.  ``proof`` is the log
+    to write into (one is created under ``certify``).
+
+    :func:`check_equivalence` calls this on the whole miter; the
+    ``jobs > 1`` partition workers call it on their shards.  Every call
+    is self-contained and returns a picklable :class:`Decision`.
+    """
+    tracer = get_tracer()
+    start = time.perf_counter()
+    cnf = CNF()
+    with tracer.span("cec.encode", design=aig.name,
+                     pairs=len(pairs)) as span:
+        var_map, input_vars, state_vars = _encode_pairs(
+            cnf, aig, pairs, input_lits, latch_lits, structural)
+        span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
+    encode_seconds = time.perf_counter() - start
+
+    if certify and proof is None:
+        proof = ProofLog()
+    # The proof steps preprocessing emits precede the solver's, so one log
+    # certifies the whole stage against the original CNF.  Leaf variables
+    # are frozen: they must survive for model readback.
+    pre = None
+    solve_clauses = cnf.clauses
+    if preprocess and cnf.clauses:
+        frozen = set(input_vars.values()) | set(state_vars.values())
+        with tracer.span("cec.preprocess",
+                         cnf_clauses=len(cnf.clauses)) as pp_span:
+            pre = simplify_cnf(cnf.num_vars, cnf.clauses, frozen=frozen,
+                               proof=proof)
+            pp_span.set(clauses_out=len(pre.clauses), unsat=pre.unsat)
+        solve_clauses = pre.clauses
+
+    start = time.perf_counter()
+    if pre is not None and pre.unsat:
+        # Preprocessing alone derived the empty clause — the proof
+        # already ends in it, so certification proceeds as for any other
+        # UNSAT verdict.
+        result = SolverResult(False, stats=SolverStats())
+        solve_seconds = 0.0
+    else:
+        with tracer.span("cec.solve", cnf_vars=cnf.num_vars,
+                         cnf_clauses=len(solve_clauses)) as solve_span:
+            solver = solver_factory(cnf.num_vars, solve_clauses)
+            set_proof = getattr(solver, "set_proof", None)
+            if proof is not None and set_proof is not None:
+                set_proof(proof)
+            if sigs is not None and var_map:
+                _seed_solver(solver, var_map, aig, sigs, num_patterns)
+            attach_solver_progress(solver, tracer)
+            result = solver.solve()
+            solve_span.set(satisfiable=result.satisfiable,
+                           conflicts=result.stats.conflicts)
+        solve_seconds = time.perf_counter() - start
+
+    decision = Decision(
+        result.satisfiable, stats=result.stats, cnf_vars=cnf.num_vars,
+        cnf_clauses=len(cnf.clauses), encode_seconds=encode_seconds,
+        solve_seconds=solve_seconds,
+        preprocessor=pre.stats.to_dict() if pre is not None else None)
+    if result.satisfiable:
+        # Eliminated variables are re-valued by replaying the
+        # preprocessor's reconstruction stack.
+        model = pre.reconstruct(result.model) if pre is not None \
+            else result.model
+        decision.inputs = {name: int(model.get(var, False))
+                           for name, var in input_vars.items()}
+        decision.state = {name: int(model.get(var, False))
+                          for name, var in state_vars.items()}
+    elif certify:
+        start = time.perf_counter()
+        with tracer.span("cec.certify", lemmas=proof.num_added):
+            decision.proof_checked = check_drat(cnf, proof).ok
+        decision.proof_check_seconds = time.perf_counter() - start
+    if proof is not None:
+        decision.proof_clauses = proof.num_added
+        decision.proof_bytes = proof.size_bytes()
+    return decision
+
+
+def _decide(ctx: _Miter, jobs: int, solver_factory,
+            proof: Optional[ProofLog], **options) -> Decision:
+    """Run :func:`decide` on the surviving pairs, serially or sharded.
+
+    The parallel path is restricted to the default solver and no
+    caller-supplied proof log: a custom engine or a shared on-disk DRAT
+    stream cannot cross the process boundary.
+    """
+    tracer = get_tracer()
+    if (jobs > 1 and len(ctx.pairs) > 1 and proof is None
+            and solver_factory is Solver):
+        # Imported lazily: the partition workers import this module.
+        from .partition import solve_pairs_parallel
+
+        words_by_name = None
+        if ctx.num_patterns > 0:
+            words_by_name = {
+                name: ctx.words[lit >> 1]
+                for name, lit in (*ctx.pi_lits.items(),
+                                  *ctx.latch_lits.items())
+            }
+        start = time.perf_counter()
+        with tracer.span("cec.parallel", jobs=jobs,
+                         pairs=len(ctx.pairs)) as span:
+            decision = solve_pairs_parallel(
+                ctx.aig, ctx.pairs, ctx.in_lits, ctx.st_lits, jobs,
+                words_by_name=words_by_name,
+                num_patterns=ctx.num_patterns, **options)
+            span.set(partitions=decision.partitions,
+                     satisfiable=decision.satisfiable)
+        wall = time.perf_counter() - start
+        ctx.jobs = jobs
+    else:
+        decision = decide(ctx.aig, ctx.pairs, ctx.in_lits, ctx.st_lits,
+                          proof=proof, solver_factory=solver_factory,
+                          sigs=ctx.sigs, num_patterns=ctx.num_patterns,
+                          **options)
+        wall = decision.solve_seconds
+    if tracer.enabled:
+        tracer.metrics.absorb("cec.solver", decision.stats.to_dict())
+        tracer.metrics.histogram("cec.solve_seconds").observe(wall)
+        if decision.preprocessor is not None:
+            tracer.metrics.absorb("cec.preprocess", decision.preprocessor)
+    return decision
+
+
+def _replay(ctx: _Miter, inputs: dict[str, int], state: dict[str, int],
+            source: str) -> Counterexample:
+    """Stage 5: confirm a candidate assignment by simulating both netlists.
+
+    ``source`` names the stage that produced it; an assignment the
+    netlists agree on is a bug in that stage and raises :class:`CECError`.
+    """
+    with get_tracer().span("cec.replay"):
+        diffs = replay_counterexample(ctx.before, ctx.after, inputs, state)
+    if not diffs:
+        raise CECError(_REPLAY_ERRORS[source])
+    return Counterexample(inputs=inputs, state=state, diff=diffs)
+
+
+def _result(ctx: _Miter, decision: Optional[Decision] = None,
+            counterexample: Optional[Counterexample] = None
+            ) -> EquivalenceResult:
+    """Build the verdict: equivalent unless a counterexample was found.
+
+    A counterexample without a decision came from the simulation check.
+    The sweep's proof counters add to the decide stage's on every verdict.
+    """
+    equivalent = counterexample is None
+    d = decision if decision is not None else Decision(False)
+    sweep = ctx.sweep_stats
+    proof_checked = None
+    if ctx.certify and equivalent and (decision is not None
+                                       or sweep is not None):
+        proof_checked = (
+            (decision is None or decision.proof_checked is True)
+            and (sweep is None or sweep.proofs_failed == 0))
+    refuted_by_simulation = not equivalent and decision is None
+    ctx.span.set(equivalent=equivalent)
+    if refuted_by_simulation:
+        ctx.span.set(refuted_by="simulation")
+    if decision is not None:
+        ctx.span.set(cnf_clauses=d.cnf_clauses)
+    return EquivalenceResult(
+        equivalent, counterexample=counterexample, solver_stats=d.stats,
+        compared=ctx.compared,
+        encode_seconds=ctx.encode_seconds + d.encode_seconds,
+        solve_seconds=d.solve_seconds,
+        cnf_vars=d.cnf_vars, cnf_clauses=d.cnf_clauses,
+        hash_proven=ctx.hash_proven, proof_checked=proof_checked,
+        proof_clauses=d.proof_clauses + (sweep.proof_clauses if sweep else 0),
+        proof_bytes=d.proof_bytes + (sweep.proof_bytes if sweep else 0),
+        proof_check_seconds=(d.proof_check_seconds
+                             + (sweep.proof_check_seconds if sweep else 0.0)),
+        sweep_proven=ctx.sweep_proven, sweep_seconds=ctx.sweep_seconds,
+        refuted_by_simulation=refuted_by_simulation,
+        preprocessor=d.preprocessor, jobs=ctx.jobs,
+        partitions=d.partitions)
 
 
 def replay_counterexample(before: Netlist, after: Netlist,
@@ -564,12 +786,10 @@ def replay_counterexample(before: Netlist, after: Netlist,
     return diffs
 
 
-def check_equivalence(before: Netlist, after: Netlist,
-                      encoding: str = "aig",
+def check_equivalence(before: Netlist, after: Netlist, *,
                       solver_factory=Solver,
                       certify: bool = False,
                       proof: Optional[ProofLog] = None,
-                      *,
                       preprocess: bool = True,
                       sweep: Union[bool, str] = "auto",
                       structural: bool = True,
@@ -581,17 +801,11 @@ def check_equivalence(before: Netlist, after: Netlist,
     Equivalence means: identical values on every primary output and on the
     data pin of every name-matched flip-flop, for all input and register
     assignments (registers present in only one netlist are free).  When the
-    miter is satisfiable the model is replayed through the simulator and
-    returned as a confirmed :class:`Counterexample`.
+    miter is satisfiable the assignment is replayed through the simulator
+    and returned as a confirmed :class:`Counterexample`.  The stages are
+    described in the module docstring.
 
-    ``encoding`` selects the miter construction: ``"aig"`` (default)
-    lowers both designs into one shared hash-consed AIG and runs the
-    staged pipeline from the module docstring — simulation refutation
-    check, SAT sweeping, structure-aware encoding, CNF preprocessing,
-    phase/activity-seeded CDCL — while ``"gate"`` is the legacy per-gate
-    Tseitin encoding (only CNF preprocessing applies to it).
-
-    Pipeline knobs (keyword-only):
+    Pipeline knobs:
 
     * ``preprocess`` — run the SatELite-style CNF preprocessor
       (subsumption, self-subsuming resolution, bounded variable
@@ -610,16 +824,16 @@ def check_equivalence(before: Netlist, after: Netlist,
       phase seeding.  ``sim_patterns=0`` disables the simulation check
       and everything fed by its signatures (auto-sweeping, phase and
       activity seeding) — the benchmark's legacy configuration.
-    * ``jobs`` — with ``jobs > 1`` (AIG encoding, default solver, no
-      caller-supplied ``proof``) the root pairs surviving stages 1–2 are
-      partitioned into fanin-cone-balanced groups and stages 3–4 run in
-      up to ``jobs`` worker processes
-      (:mod:`~repro.netlist.sat.partition`).  The verdict is identical
-      to the serial path: the first refuting worker cancels its
-      siblings, all-UNSAT shards merge their solver statistics, and
-      under ``certify=True`` every worker RUP-checks its own shard's
-      proof (``proof_checked`` is True only if all of them pass).  The
-      result's ``jobs``/``partitions`` fields report the fan-out.
+    * ``jobs`` — with ``jobs > 1`` (default solver, no caller-supplied
+      ``proof``) the root pairs surviving the sweep are partitioned into
+      fanin-cone-balanced groups and :func:`decide` runs on each in up
+      to ``jobs`` worker processes (:mod:`~repro.netlist.sat.partition`).
+      The verdict is identical to the serial path: the first refuting
+      worker cancels its siblings, all-UNSAT shards merge their solver
+      statistics, and under ``certify=True`` every worker RUP-checks its
+      own shard's proof (``proof_checked`` is True only if all of them
+      pass).  The result's ``jobs``/``partitions`` fields report the
+      fan-out.
 
     ``solver_factory`` swaps the SAT engine — it is called as
     ``factory(num_vars, clauses)`` with the clause iterable streamed
@@ -643,412 +857,45 @@ def check_equivalence(before: Netlist, after: Netlist,
     DRAT text on disk (the CLI's ``--solve-log``); with ``proof`` alone
     the log is recorded but not checked.
     """
-    if encoding not in ("aig", "gate"):
-        raise ValueError(
-            f"unknown miter encoding '{encoding}' "
-            f"(valid encodings: 'aig', 'gate')"
-        )
-    tracer = get_tracer()
-    with tracer.span("cec", encoding=encoding, before=before.name,
-                     after=after.name) as cec_span:
-        start = time.perf_counter()
-        sigs = None
-        mask = 0
-        num_patterns = 0
-        sweep_stats = None
-        sweep_proven = 0
-        sweep_seconds = 0.0
-        pre = None
-        var_map: dict[int, int] = {}
-        work_aig: Optional[AIG] = None
+    with get_tracer().span("cec", before=before.name,
+                           after=after.name) as span:
+        ctx = _lower(before, after, span, certify)
+        if not ctx.pairs:
+            # Every root pair hash-merged to the same literal.
+            return _result(ctx)
 
-        if encoding == "aig":
-            aig, pi_lits, latch_lits, named_pairs = _lower_miter(before,
-                                                                 after)
-            differing = [(b, a) for _, _, b, a in named_pairs if b != a]
-            compared = len(named_pairs)
-            hash_proven = compared - len(differing)
-            if tracer.enabled:
-                for kind, name, b, a in named_pairs:
-                    tracer.instant("cec.pair", kind=kind, name=name,
-                                   hash_proven=(b == a))
-            encode_seconds = time.perf_counter() - start
-            cec_span.set(compared=compared, hash_proven=hash_proven)
-            if not differing:
-                # Every root pair hash-merged to the same literal:
-                # structurally proven, nothing to solve.
-                cec_span.set(equivalent=True)
-                return EquivalenceResult(True, compared=compared,
-                                         encode_seconds=encode_seconds,
-                                         encoding=encoding,
-                                         hash_proven=hash_proven)
+        # ``sim_patterns=0`` skips the check and the signatures that
+        # auto-sweep and phase seeding feed on.
+        if sim_patterns > 0:
+            rng = random.Random(seed)
+            ctx.words = {nid: rng.getrandbits(sim_patterns)
+                         for nid in (*ctx.aig.inputs, *ctx.aig.latches)}
+            ctx.num_patterns = sim_patterns
+            cex = _simcheck(ctx)
+            if cex is not None:
+                return _result(ctx, counterexample=cex)
 
-            # Stage 1: simulation refutation check.  Any random pattern a
-            # root pair disagrees on is already a complete counterexample.
-            # ``sim_patterns=0`` disables the check (and the signatures
-            # that auto-sweep and phase seeding feed on) — the bench's
-            # legacy configuration.
-            pairs = differing
-            work_aig = aig
-            in_lits, st_lits = pi_lits, latch_lits
-            words = None
-            if sim_patterns > 0:
-                rng = random.Random(seed)
-                leaves = list(aig.inputs) + list(aig.latches)
-                words = {nid: rng.getrandbits(sim_patterns)
-                         for nid in leaves}
-                num_patterns = sim_patterns
-                mask = (1 << num_patterns) - 1
-                start = time.perf_counter()
-                with tracer.span("cec.simcheck", patterns=num_patterns,
-                                 pairs=len(pairs)) as sim_span:
-                    sigs = aig_signatures(
-                        aig,
-                        [words[nid] for nid in aig.inputs],
-                        [words[nid] for nid in aig.latches],
-                        mask,
-                    )
-                    bit = _first_diff_bit(sigs, mask, pairs)
-                    sim_span.set(refuted=bit is not None)
-                encode_seconds += time.perf_counter() - start
-                if bit is not None:
-                    with tracer.span("cec.replay"):
-                        cex = _confirm_sim_refutation(
-                            before, after, words, pi_lits, latch_lits, bit)
-                    cec_span.set(equivalent=False,
-                                 refuted_by="simulation")
-                    return EquivalenceResult(False, counterexample=cex,
-                                             compared=compared,
-                                             encode_seconds=encode_seconds,
-                                             encoding=encoding,
-                                             hash_proven=hash_proven,
-                                             refuted_by_simulation=True)
+        do_sweep = sweep if isinstance(sweep, bool) else (
+            ctx.sigs is not None and _sweep_worthwhile(ctx))
+        if do_sweep:
+            _sweep(ctx, sim_patterns if sim_patterns > 0 else 64, seed,
+                   solver_factory)
+            if not ctx.pairs:
+                return _result(ctx)
+            # The sweep's refuted candidates appended distinguishing
+            # patterns to the stimulus.
+            cex = _simcheck(ctx, post_sweep=True)
+            if cex is not None:
+                return _result(ctx, counterexample=cex)
 
-            # Stage 2: SAT-sweep the miter AIG — internal equivalences
-            # the unique table missed collapse under incremental SAT, and
-            # root pairs whose cones merge are proven without the
-            # top-level solve.
-            do_sweep = sweep if isinstance(sweep, bool) else (
-                sigs is not None
-                and _sweep_worthwhile(aig, sigs, mask, pairs))
-            if do_sweep:
-                # Imported lazily: opt.fraig imports sat.cnf/proof/solver,
-                # so a module-level import here would be circular.
-                from ..opt.fraig import FraigStats, fraig_sweep_map
-                sweep_start = time.perf_counter()
-                sweep_stats = FraigStats()
-                with tracer.span("cec.sweep", ands=aig.num_ands,
-                                 pairs=len(pairs)) as sweep_span:
-                    # Stage 1's stimulus and signatures are handed to
-                    # the sweep so its first round does not resimulate.
-                    swept = fraig_sweep_map(
-                        aig,
-                        patterns=sim_patterns if sim_patterns > 0 else 64,
-                        seed=seed,
-                        stats=sweep_stats, solver_factory=solver_factory,
-                        certify=certify, words=words, signatures=sigs)
-                    mapped = [(swept.map_lit(b), swept.map_lit(a))
-                              for b, a in pairs]
-                    pairs = [(b, a) for b, a in mapped if b != a]
-                    sweep_proven = len(mapped) - len(pairs)
-                    sweep_span.set(sweep_proven=sweep_proven,
-                                   remaining=len(pairs))
-                sweep_seconds = time.perf_counter() - sweep_start
-                work_aig = swept.aig
-                in_lits = {name: swept.map_lit(lit)
-                           for name, lit in pi_lits.items()}
-                st_lits = {name: swept.map_lit(lit)
-                           for name, lit in latch_lits.items()}
-                words = swept.words
-                num_patterns = swept.num_patterns
-                mask = (1 << num_patterns) - 1
-                cec_span.set(sweep_proven=sweep_proven)
-                if tracer.enabled:
-                    tracer.metrics.absorb("cec.sweep", {
-                        "proven": sweep_stats.proven,
-                        "refuted": sweep_stats.refuted,
-                        "pairs_proven": sweep_proven,
-                    })
-                if not pairs:
-                    # Hashing + sweeping proved every root pair; under
-                    # certify every merge proof was already RUP-checked.
-                    proof_checked = None
-                    if certify:
-                        proof_checked = sweep_stats.proofs_failed == 0
-                    cec_span.set(equivalent=True)
-                    return EquivalenceResult(
-                        True, compared=compared,
-                        encode_seconds=encode_seconds,
-                        encoding=encoding, hash_proven=hash_proven,
-                        proof_checked=proof_checked,
-                        proof_clauses=sweep_stats.proof_clauses,
-                        proof_bytes=sweep_stats.proof_bytes,
-                        proof_check_seconds=sweep_stats.proof_check_seconds,
-                        sweep_proven=sweep_proven,
-                        sweep_seconds=sweep_seconds)
-                # The sweep's refuted candidates appended distinguishing
-                # patterns to the stimulus — re-check the surviving pairs
-                # under the enriched batch.
-                start = time.perf_counter()
-                with tracer.span("cec.simcheck", patterns=num_patterns,
-                                 pairs=len(pairs),
-                                 post_sweep=True) as sim_span:
-                    sigs = aig_signatures(
-                        work_aig,
-                        [words[nid] for nid in aig.inputs],
-                        [words[nid] for nid in aig.latches],
-                        mask,
-                    )
-                    bit = _first_diff_bit(sigs, mask, pairs)
-                    sim_span.set(refuted=bit is not None)
-                encode_seconds += time.perf_counter() - start
-                if bit is not None:
-                    with tracer.span("cec.replay"):
-                        cex = _confirm_sim_refutation(
-                            before, after, words, pi_lits, latch_lits, bit)
-                    cec_span.set(equivalent=False, refuted_by="simulation")
-                    return EquivalenceResult(
-                        False, counterexample=cex, compared=compared,
-                        encode_seconds=encode_seconds, encoding=encoding,
-                        hash_proven=hash_proven,
-                        refuted_by_simulation=True,
-                        sweep_proven=sweep_proven,
-                        sweep_seconds=sweep_seconds)
-
-            # Parallel path: shard the surviving pairs across worker
-            # processes — stages 3–4 (encode, preprocess, seeded solve,
-            # per-shard certification) run independently per partition
-            # and the merged verdict returns here.  Restricted to the
-            # default solver and no caller-supplied proof log: a custom
-            # engine or a shared on-disk DRAT stream cannot cross the
-            # process boundary.
-            if (jobs > 1 and len(pairs) > 1 and proof is None
-                    and solver_factory is Solver):
-                options = PartitionOptions(structural=structural,
-                                           preprocess=preprocess,
-                                           certify=certify)
-                words_by_name = None
-                if num_patterns > 0:
-                    words_by_name = {
-                        name: words[lit >> 1]
-                        for name, lit in (*pi_lits.items(),
-                                          *latch_lits.items())
-                    }
-                start = time.perf_counter()
-                with tracer.span("cec.parallel", jobs=jobs,
-                                 pairs=len(pairs)) as par_span:
-                    verdict = solve_pairs_parallel(
-                        work_aig, pairs, in_lits, st_lits, jobs,
-                        options=options, words_by_name=words_by_name,
-                        num_patterns=num_patterns)
-                    par_span.set(partitions=verdict.partitions,
-                                 satisfiable=verdict.satisfiable)
-                solve_seconds = time.perf_counter() - start
-                if tracer.enabled:
-                    tracer.metrics.absorb("cec.solver",
-                                          verdict.stats.to_dict())
-                    tracer.metrics.histogram("cec.solve_seconds").observe(
-                        solve_seconds)
-                proof_clauses = verdict.proof_clauses
-                proof_bytes = verdict.proof_bytes
-                proof_check_seconds = verdict.proof_check_seconds
-                if sweep_stats is not None:
-                    proof_clauses += sweep_stats.proof_clauses
-                    proof_bytes += sweep_stats.proof_bytes
-                    proof_check_seconds += sweep_stats.proof_check_seconds
-                if not verdict.satisfiable:
-                    proof_checked = None
-                    if certify:
-                        proof_checked = (
-                            verdict.proof_checked is True
-                            and (sweep_stats is None
-                                 or sweep_stats.proofs_failed == 0))
-                    cec_span.set(equivalent=True)
-                    return EquivalenceResult(
-                        True, solver_stats=verdict.stats,
-                        compared=compared,
-                        encode_seconds=(encode_seconds
-                                        + verdict.encode_seconds),
-                        solve_seconds=verdict.solve_seconds,
-                        encoding=encoding,
-                        cnf_vars=verdict.cnf_vars,
-                        cnf_clauses=verdict.cnf_clauses,
-                        hash_proven=hash_proven,
-                        proof_checked=proof_checked,
-                        proof_clauses=proof_clauses,
-                        proof_bytes=proof_bytes,
-                        proof_check_seconds=proof_check_seconds,
-                        sweep_proven=sweep_proven,
-                        sweep_seconds=sweep_seconds,
-                        preprocessor=verdict.preprocessor,
-                        jobs=jobs, partitions=verdict.partitions)
-                inputs = {name: 0 for name in before.input_names()}
-                inputs.update(verdict.inputs or {})
-                state = dict(verdict.state or {})
-                with tracer.span("cec.replay"):
-                    diffs = replay_counterexample(before, after, inputs,
-                                                  state)
-                if not diffs:
-                    raise CECError(
-                        "solver returned a model but simulation shows no "
-                        "disagreement (CNF encoding bug)"
-                    )
-                cec_span.set(equivalent=False)
-                cex = Counterexample(inputs=inputs, state=state,
-                                     diff=diffs)
-                return EquivalenceResult(
-                    False, counterexample=cex,
-                    solver_stats=verdict.stats, compared=compared,
-                    encode_seconds=(encode_seconds
-                                    + verdict.encode_seconds),
-                    solve_seconds=verdict.solve_seconds,
-                    encoding=encoding,
-                    cnf_vars=verdict.cnf_vars,
-                    cnf_clauses=verdict.cnf_clauses,
-                    hash_proven=hash_proven,
-                    proof_clauses=proof_clauses,
-                    proof_bytes=proof_bytes,
-                    sweep_proven=sweep_proven,
-                    sweep_seconds=sweep_seconds,
-                    preprocessor=verdict.preprocessor,
-                    jobs=jobs, partitions=verdict.partitions)
-
-            # Stage 3: structure-aware encoding of the surviving cones.
-            start = time.perf_counter()
-            cnf = CNF()
-            with tracer.span("cec.encode", design=before.name,
-                             pairs=len(pairs)) as span:
-                var_map, input_vars, state_vars = _encode_pairs(
-                    cnf, work_aig, pairs, in_lits, st_lits, structural)
-                span.set(cnf_vars=cnf.num_vars,
-                         cnf_clauses=len(cnf.clauses))
-            encode_seconds += time.perf_counter() - start
-        else:
-            cnf, input_vars, state_vars, compared_roots = \
-                build_miter(before, after)
-            compared, hash_proven = len(compared_roots), 0
-            encode_seconds = time.perf_counter() - start
-        cec_span.set(compared=compared, hash_proven=hash_proven,
-                     cnf_clauses=len(cnf.clauses))
-
-        if certify and proof is None:
-            proof = ProofLog()
-        # CNF preprocessing: the proof steps it emits precede the
-        # solver's, so one log certifies the whole pipeline against the
-        # original CNF.  Input/state variables are frozen — they must
-        # survive for model readback and counterexample reconstruction.
-        solve_clauses = cnf.clauses
-        if preprocess and cnf.clauses:
-            frozen = set(input_vars.values()) | set(state_vars.values())
-            with tracer.span("cec.preprocess",
-                             cnf_clauses=len(cnf.clauses)) as pp_span:
-                pre = simplify_cnf(cnf.num_vars, cnf.clauses,
-                                   frozen=frozen, proof=proof)
-                pp_span.set(clauses_out=len(pre.clauses),
-                            unsat=pre.unsat)
-            solve_clauses = pre.clauses
-            if tracer.enabled:
-                tracer.metrics.absorb("cec.preprocess",
-                                      pre.stats.to_dict())
-
-        start = time.perf_counter()
-        if pre is not None and pre.unsat:
-            # Preprocessing alone derived the empty clause — the proof
-            # already ends in it, so certification below proceeds as for
-            # any other UNSAT verdict.
-            result = SolverResult(False, stats=SolverStats())
-            solve_seconds = 0.0
-        else:
-            with tracer.span("cec.solve", cnf_vars=cnf.num_vars,
-                             cnf_clauses=len(solve_clauses)) as solve_span:
-                solver = solver_factory(cnf.num_vars, solve_clauses)
-                if proof is not None:
-                    set_proof = getattr(solver, "set_proof", None)
-                    if set_proof is not None:
-                        set_proof(proof)
-                if sigs is not None and var_map:
-                    # Stage 4: point the search where simulation and
-                    # structure say the action is.
-                    _seed_solver(solver, var_map, work_aig, sigs, mask,
-                                 num_patterns)
-                attach_solver_progress(solver, tracer)
-                result = solver.solve()
-                solve_span.set(satisfiable=result.satisfiable,
-                               conflicts=result.stats.conflicts)
-            solve_seconds = time.perf_counter() - start
-        if tracer.enabled:
-            tracer.metrics.absorb("cec.solver", result.stats.to_dict())
-            tracer.metrics.histogram("cec.solve_seconds").observe(
-                solve_seconds)
-        pre_dict = pre.stats.to_dict() if pre is not None else None
-        proof_clauses = proof.num_added if proof is not None else 0
-        proof_bytes = proof.size_bytes() if proof is not None else 0
-        proof_check_seconds = 0.0
-        if sweep_stats is not None:
-            proof_clauses += sweep_stats.proof_clauses
-            proof_bytes += sweep_stats.proof_bytes
-            proof_check_seconds += sweep_stats.proof_check_seconds
-        if not result.satisfiable:
-            proof_checked = None
-            if certify:
-                check_start = time.perf_counter()
-                with tracer.span("cec.certify", lemmas=proof.num_added):
-                    verdict = check_drat(cnf, proof)
-                proof_check_seconds += time.perf_counter() - check_start
-                proof_checked = verdict.ok and (
-                    sweep_stats is None or sweep_stats.proofs_failed == 0)
-            cec_span.set(equivalent=True)
-            return EquivalenceResult(True, solver_stats=result.stats,
-                                     compared=compared,
-                                     encode_seconds=encode_seconds,
-                                     solve_seconds=solve_seconds,
-                                     encoding=encoding,
-                                     cnf_vars=cnf.num_vars,
-                                     cnf_clauses=len(cnf.clauses),
-                                     hash_proven=hash_proven,
-                                     proof_checked=proof_checked,
-                                     proof_clauses=proof_clauses,
-                                     proof_bytes=proof_bytes,
-                                     proof_check_seconds=proof_check_seconds,
-                                     sweep_proven=sweep_proven,
-                                     sweep_seconds=sweep_seconds,
-                                     preprocessor=pre_dict)
-        assert result.model is not None
-        # Eliminated variables are re-valued by replaying the
-        # preprocessor's reconstruction stack; inputs outside every
-        # encoded cone (AIG path) carry no CNF variable, so the replay
-        # defaults them to 0.
-        model = pre.reconstruct(result.model) if pre is not None \
-            else result.model
+        decision = _decide(ctx, jobs, solver_factory, proof,
+                           structural=structural, preprocess=preprocess,
+                           certify=certify)
+        if not decision.satisfiable:
+            return _result(ctx, decision)
+        # Inputs outside every encoded cone carry no CNF variable; they
+        # replay as 0.
         inputs = {name: 0 for name in before.input_names()}
-        inputs.update({
-            name: int(model.get(var, False))
-            for name, var in input_vars.items()
-        })
-        state = {
-            name: int(model.get(var, False))
-            for name, var in state_vars.items()
-        }
-        with tracer.span("cec.replay"):
-            diffs = replay_counterexample(before, after, inputs, state)
-        if not diffs:
-            raise CECError(
-                "solver returned a model but simulation shows no "
-                "disagreement (CNF encoding bug)"
-            )
-        cec_span.set(equivalent=False)
-        cex = Counterexample(inputs=inputs, state=state, diff=diffs)
-        return EquivalenceResult(False, counterexample=cex,
-                                 solver_stats=result.stats,
-                                 compared=compared,
-                                 encode_seconds=encode_seconds,
-                                 solve_seconds=solve_seconds,
-                                 encoding=encoding,
-                                 cnf_vars=cnf.num_vars,
-                                 cnf_clauses=len(cnf.clauses),
-                                 hash_proven=hash_proven,
-                                 proof_clauses=proof_clauses,
-                                 proof_bytes=proof_bytes,
-                                 sweep_proven=sweep_proven,
-                                 sweep_seconds=sweep_seconds,
-                                 preprocessor=pre_dict)
+        inputs.update(decision.inputs or {})
+        cex = _replay(ctx, inputs, dict(decision.state or {}), "solver")
+        return _result(ctx, decision, cex)

@@ -2,30 +2,30 @@
 
 A multi-output miter is embarrassingly parallel: every root pair (output
 or next-state function) can be decided by its own solver over its own
-fanin cone.  This module turns the tail of the staged CEC pipeline into
-exactly that shape so :func:`~repro.netlist.sat.cec.check_equivalence`
-(``jobs=N``), :func:`~repro.netlist.opt.fraig.fraig_sweep` (``jobs=N``)
-and the :mod:`repro.server` daemon can shard proof work across a
-:mod:`multiprocessing` pool:
+fanin cone.  This module shards proof work across a
+:mod:`multiprocessing` pool for
+:func:`~repro.netlist.sat.cec.check_equivalence` (``jobs=N``),
+:func:`~repro.netlist.opt.fraig.fraig_sweep` (``jobs=N``) and the
+:mod:`repro.server` daemon:
 
 * :func:`extract_cone` copies the combinational cone of a set of literals
   into a fresh, self-contained (and therefore cheaply picklable) AIG —
   the shard a worker process receives;
-* :func:`partition_pairs` splits the surviving root pairs into
-  size-balanced groups (greedy largest-cone-first bin packing, so one
-  huge output does not serialize the batch behind it);
-* :func:`solve_partition` is the module-level worker entry point: it runs
-  stages 3–4 of the CEC pipeline (structure-aware encoding, CNF
-  preprocessing with frozen interface variables, signature-seeded CDCL)
-  on one shard and returns a plain picklable dict — including the DRAT
-  certification verdict when asked, checked *inside the worker* against
-  the shard's own CNF;
+* :func:`partition_pairs` splits root pairs (or FRAIG merge candidates)
+  into size-balanced groups (greedy largest-cone-first bin packing, so
+  one huge output does not serialize the batch behind it);
+* :func:`solve_partition` is the CEC worker entry point: it runs the
+  serial path's own decide stage (:func:`~repro.netlist.sat.cec.decide`:
+  encode, preprocess, seeded solve, model readback, DRAT check) on one
+  shard, certifying *inside the worker* against the shard's own CNF;
 * :func:`solve_pairs_parallel` drives the pool: payloads are dispatched
   with ``imap_unordered`` and **the first refuting worker cancels its
   siblings** (a counterexample for any pair refutes the whole miter, so
   finishing the other shards would be wasted work).  All-UNSAT shards
-  merge into one verdict with accumulated solver statistics and summed
-  proof counters.
+  merge into one :class:`~repro.netlist.sat.cec.Decision` with
+  accumulated solver statistics and summed proof counters;
+* :func:`sweep_partition` / :func:`solve_sweep_parallel` answer FRAIG
+  merge candidates the same way, with no early cancellation.
 
 Verdict parity with the serial path is a hard guarantee: partitioning
 changes *who* solves each pair, never *what* is asked, and a SAT model
@@ -36,24 +36,13 @@ believed.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ...obs import Tracer, get_tracer, use_tracer
 from ..aig import AIG, _AND, _LATCH, _PI
+from ..sim import aig_signatures
+from .cec import Decision, decide
 from .solver import SolverStats
-
-
-@dataclass
-class PartitionOptions:
-    """Picklable knobs for one worker solve (mirrors the serial stage-3/4
-    arguments of ``check_equivalence``)."""
-
-    structural: bool = True
-    preprocess: bool = True
-    certify: bool = False
-    #: Record per-shard ``repro.obs`` spans and return them for stitching.
-    trace: bool = False
 
 
 def extract_cone(aig: AIG, roots: Sequence[int]
@@ -86,11 +75,18 @@ def extract_cone(aig: AIG, roots: Sequence[int]
     return sub, lit_of
 
 
-def partition_pairs(aig: AIG, pairs: Sequence[tuple[int, int]],
-                    jobs: int) -> list[list[tuple[int, int]]]:
-    """Split root pairs into at most ``jobs`` size-balanced groups.
+def _translate(lit_of: dict[int, int], lit: int) -> int:
+    """Map a literal of the source graph into an :func:`extract_cone`
+    shard."""
+    return lit_of[lit >> 1] ^ (lit & 1)
 
-    Greedy bin packing by fanin-cone size, largest first into the
+
+def partition_pairs(aig: AIG, pairs: Sequence[tuple[int, int]],
+                    jobs: int) -> list[list[int]]:
+    """Split literal pairs into at most ``jobs`` size-balanced groups.
+
+    Returns groups of indices into ``pairs``.  Greedy bin packing by
+    fanin-cone size, largest first (ties in input order) into the
     currently lightest group — cones shared between pairs in the *same*
     group are encoded once (the worker builds one shard for the whole
     group), while sharing across groups is re-encoded per worker, the
@@ -98,38 +94,34 @@ def partition_pairs(aig: AIG, pairs: Sequence[tuple[int, int]],
     """
     jobs = max(1, min(jobs, len(pairs)))
     if jobs == 1:
-        return [list(pairs)]
-    sized = sorted(
-        ((len(aig.cone(pair)), pair) for pair in pairs),
-        key=lambda item: item[0], reverse=True)
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(jobs)]
+        return [list(range(len(pairs)))]
+    sizes = [len(aig.cone(pair)) for pair in pairs]
+    groups: list[list[int]] = [[] for _ in range(jobs)]
     loads = [0] * jobs
-    for size, pair in sized:
+    for i in sorted(range(len(pairs)), key=lambda i: -sizes[i]):
         k = loads.index(min(loads))
-        groups[k].append(pair)
-        loads[k] += size
+        groups[k].append(i)
+        loads[k] += sizes[i]
     return [group for group in groups if group]
 
 
 def make_payload(aig: AIG, pairs: Sequence[tuple[int, int]],
                  pi_lits: dict[str, int], latch_lits: dict[str, int],
-                 options: PartitionOptions,
-                 words_by_name: Optional[dict[str, int]] = None,
-                 num_patterns: int = 0) -> tuple:
+                 options: dict, words_by_name: Optional[dict[str, int]],
+                 num_patterns: int, trace: bool) -> tuple:
     """Build the picklable shard a worker receives for one pair group.
 
     The shard AIG contains only the group's cones; leaf stimulus words
     (for solver phase/activity seeding) travel keyed by leaf *name* so
-    they survive the node renumbering.
+    they survive the node renumbering.  ``options`` are
+    :func:`~repro.netlist.sat.cec.decide` keywords.
     """
-    roots = [lit for pair in pairs for lit in pair]
-    sub, lit_of = extract_cone(aig, roots)
-    sub_pairs = [(lit_of[b >> 1] ^ (b & 1), lit_of[a >> 1] ^ (a & 1))
+    sub, lit_of = extract_cone(aig, [lit for pair in pairs for lit in pair])
+    sub_pairs = [(_translate(lit_of, b), _translate(lit_of, a))
                  for b, a in pairs]
-    sub_inputs = {name: lit_of[lit >> 1] ^ (lit & 1)
-                  for name, lit in pi_lits.items()
-                  if (lit >> 1) in lit_of}
-    sub_latches = {name: lit_of[lit >> 1] ^ (lit & 1)
+    sub_inputs = {name: _translate(lit_of, lit)
+                  for name, lit in pi_lits.items() if (lit >> 1) in lit_of}
+    sub_latches = {name: _translate(lit_of, lit)
                    for name, lit in latch_lits.items()
                    if (lit >> 1) in lit_of}
     words = None
@@ -137,134 +129,113 @@ def make_payload(aig: AIG, pairs: Sequence[tuple[int, int]],
         words = {name: words_by_name.get(name, 0)
                  for name in (*sub_inputs, *sub_latches)}
     return (sub, sub_pairs, sub_inputs, sub_latches, options, words,
-            num_patterns)
+            num_patterns, trace)
 
 
-def solve_partition(payload: tuple) -> dict:
+def solve_partition(payload: tuple) -> tuple[Decision, list]:
     """Worker entry point: decide one shard of the miter.
 
     Module-level (and all-picklable in and out) so it crosses the
-    :mod:`multiprocessing` boundary.  Runs encode → preprocess → seeded
-    solve → (optionally) independent DRAT check, all against the shard's
-    own CNF, and returns a plain dict the parent merges.
+    :mod:`multiprocessing` boundary.  Rebuilds the shard's simulation
+    signatures from the named stimulus words and runs
+    :func:`~repro.netlist.sat.cec.decide` on it.  Returns the decision
+    and, when tracing, the worker's recorded spans.
     """
-    # Imported lazily: cec imports this module at module level.
-    from ..sim import aig_signatures
-    from .cec import _encode_pairs, _seed_solver
-    from .cnf import CNF
-    from .preprocess import preprocess as simplify_cnf
-    from .proof import ProofLog, check_drat
-    from .solver import Solver
-
-    (sub, pairs, input_lits, latch_lits, options, words,
-     num_patterns) = payload
-    tracer = Tracer() if options.trace else get_tracer()
+    (sub, pairs, input_lits, latch_lits, options, words, num_patterns,
+     trace) = payload
+    tracer = Tracer() if trace else get_tracer()
     with use_tracer(tracer):
         with tracer.span("cec.partition", pairs=len(pairs),
-                         ands=sub.num_ands) as part_span:
-            start = time.perf_counter()
-            cnf = CNF()
-            with tracer.span("cec.encode", pairs=len(pairs)):
-                var_map, input_vars, state_vars = _encode_pairs(
-                    cnf, sub, list(pairs), input_lits, latch_lits,
-                    options.structural)
-            proof = ProofLog() if options.certify else None
-            pre = None
-            solve_clauses = cnf.clauses
-            if options.preprocess and cnf.clauses:
-                frozen = set(input_vars.values()) | set(state_vars.values())
-                with tracer.span("cec.preprocess",
-                                 cnf_clauses=len(cnf.clauses)):
-                    pre = simplify_cnf(cnf.num_vars, cnf.clauses,
-                                       frozen=frozen, proof=proof)
-                solve_clauses = pre.clauses
-            encode_seconds = time.perf_counter() - start
-
+                         ands=sub.num_ands) as span:
             sigs = None
-            mask = 0
-            if words is not None and num_patterns > 0:
-                mask = (1 << num_patterns) - 1
+            if words is not None:
                 sigs = aig_signatures(
                     sub,
                     [words.get(sub.node_name(nid) or f"pi_{nid}", 0)
                      for nid in sub.inputs],
                     [words.get(sub.node_name(nid) or f"latch_{nid}", 0)
                      for nid in sub.latches],
-                    mask,
+                    (1 << num_patterns) - 1,
                 )
-
-            start = time.perf_counter()
-            if pre is not None and pre.unsat:
-                satisfiable, model, stats = False, None, SolverStats()
-            else:
-                with tracer.span("cec.solve", cnf_vars=cnf.num_vars,
-                                 cnf_clauses=len(solve_clauses)):
-                    solver = Solver(cnf.num_vars, solve_clauses)
-                    if proof is not None:
-                        solver.set_proof(proof)
-                    if sigs is not None and var_map:
-                        _seed_solver(solver, var_map, sub, sigs, mask,
-                                     num_patterns)
-                    result = solver.solve()
-                satisfiable, model = result.satisfiable, result.model
-                stats = result.stats
-            solve_seconds = time.perf_counter() - start
-
-            inputs = state = None
-            if satisfiable:
-                full = pre.reconstruct(model) if pre is not None else model
-                inputs = {name: int(full.get(var, False))
-                          for name, var in input_vars.items()}
-                state = {name: int(full.get(var, False))
-                         for name, var in state_vars.items()}
-
-            proof_checked = None
-            proof_check_seconds = 0.0
-            if options.certify and not satisfiable:
-                start = time.perf_counter()
-                with tracer.span("cec.certify", lemmas=proof.num_added):
-                    proof_checked = check_drat(cnf, proof).ok
-                proof_check_seconds = time.perf_counter() - start
-            part_span.set(satisfiable=satisfiable,
-                          conflicts=stats.conflicts)
-
-    return {
-        "satisfiable": satisfiable,
-        "pairs": len(pairs),
-        "inputs": inputs,
-        "state": state,
-        "stats": stats,
-        "cnf_vars": cnf.num_vars,
-        "cnf_clauses": len(cnf.clauses),
-        "encode_seconds": encode_seconds,
-        "solve_seconds": solve_seconds,
-        "preprocessor": pre.stats.to_dict() if pre is not None else None,
-        "proof_checked": proof_checked,
-        "proof_clauses": proof.num_added if proof is not None else 0,
-        "proof_bytes": proof.size_bytes() if proof is not None else 0,
-        "proof_check_seconds": proof_check_seconds,
-        "spans": tracer.records if options.trace else [],
-    }
+            decision = decide(sub, pairs, input_lits, latch_lits,
+                              sigs=sigs, num_patterns=num_patterns,
+                              **options)
+            span.set(satisfiable=decision.satisfiable,
+                     conflicts=decision.stats.conflicts)
+    return decision, (tracer.records if trace else [])
 
 
-def _partition_indexed(aig: AIG, pairs: Sequence[tuple[int, int]],
-                       jobs: int) -> list[list[int]]:
-    """Like :func:`partition_pairs` but over pair *indices*, for callers
-    that must correlate shard answers back to their own bookkeeping (the
-    FRAIG sweep's candidate list)."""
-    jobs = max(1, min(jobs, len(pairs)))
-    if jobs == 1:
-        return [list(range(len(pairs)))]
-    sized = sorted(
-        ((len(aig.cone(pairs[i])), i) for i in range(len(pairs))),
-        reverse=True)
-    groups: list[list[int]] = [[] for _ in range(jobs)]
-    loads = [0] * jobs
-    for size, i in sized:
-        k = loads.index(min(loads))
-        groups[k].append(i)
-        loads[k] += size
-    return [sorted(group) for group in groups if group]
+def _merge(decisions: list[Decision], partitions: int) -> Decision:
+    """One verdict from the completed shards: SAT if any shard is,
+    encode/solve times on the critical path (max over workers), every
+    other counter summed."""
+    merged = Decision(False, partitions=partitions)
+    for d in decisions:
+        merged.stats.accumulate(d.stats)
+        merged.cnf_vars += d.cnf_vars
+        merged.cnf_clauses += d.cnf_clauses
+        merged.encode_seconds = max(merged.encode_seconds, d.encode_seconds)
+        merged.solve_seconds = max(merged.solve_seconds, d.solve_seconds)
+        merged.proof_clauses += d.proof_clauses
+        merged.proof_bytes += d.proof_bytes
+        merged.proof_check_seconds += d.proof_check_seconds
+        if d.preprocessor is not None:
+            merged.preprocessor = merged.preprocessor or {}
+            for key, value in d.preprocessor.items():
+                if isinstance(value, (int, float)):
+                    merged.preprocessor[key] = \
+                        merged.preprocessor.get(key, 0) + value
+        if d.satisfiable:
+            merged.satisfiable = True
+            merged.inputs, merged.state = d.inputs, d.state
+    checks = [d.proof_checked for d in decisions]
+    merged.proof_checked = None if None in checks else all(checks)
+    return merged
+
+
+def solve_pairs_parallel(aig: AIG, pairs: Sequence[tuple[int, int]],
+                         pi_lits: dict[str, int],
+                         latch_lits: dict[str, int],
+                         jobs: int, *,
+                         words_by_name: Optional[dict[str, int]] = None,
+                         num_patterns: int = 0, **options) -> Decision:
+    """Partition ``pairs``, decide the shards on a process pool, merge.
+
+    ``options`` are :func:`~repro.netlist.sat.cec.decide` keywords
+    (``structural``, ``preprocess``, ``certify``).  The pool is sized
+    ``min(jobs, shards)``; results stream back through
+    ``imap_unordered`` and the first satisfiable shard terminates the
+    pool (its siblings' UNSAT answers cannot change the verdict).  With a
+    single shard the solve runs in-process — no pool, no pickling.
+    Recorded worker spans are stitched into the ambient tracer under
+    synthetic worker thread ids.
+    """
+    import multiprocessing
+
+    tracer = get_tracer()
+    groups = partition_pairs(aig, pairs, jobs)
+    payloads = [
+        make_payload(aig, [pairs[i] for i in group], pi_lits, latch_lits,
+                     options, words_by_name, num_patterns,
+                     bool(tracer.enabled))
+        for group in groups
+    ]
+    replies: list[tuple[Decision, list]] = []
+    if len(payloads) == 1:
+        replies.append(solve_partition(payloads[0]))
+    else:
+        with multiprocessing.Pool(processes=len(payloads)) as pool:
+            for reply in pool.imap_unordered(solve_partition, payloads):
+                replies.append(reply)
+                if reply[0].satisfiable:
+                    # First refuting worker cancels its siblings.
+                    pool.terminate()
+                    break
+    adopt = getattr(tracer, "adopt", None)
+    if tracer.enabled and adopt is not None:
+        for worker, (_, spans) in enumerate(replies):
+            adopt(spans, tid=10_000_000 + worker)
+    return _merge([decision for decision, _ in replies], len(groups))
 
 
 def sweep_partition(payload: tuple) -> dict:
@@ -358,14 +329,13 @@ def solve_sweep_parallel(aig: AIG, cands: Sequence[tuple[int, int]],
 
     tracer = get_tracer()
     trace = bool(tracer.enabled)
-    groups = _partition_indexed(aig, cands, jobs)
     payloads = []
-    for group in groups:
-        roots = [lit for i in group for lit in cands[i]]
-        sub, lit_of = extract_cone(aig, roots)
-        shard = [(lit_of[cands[i][0] >> 1] ^ (cands[i][0] & 1),
-                  lit_of[cands[i][1] >> 1] ^ (cands[i][1] & 1), i)
-                 for i in group]
+    for group in partition_pairs(aig, cands, jobs):
+        group.sort()
+        sub, lit_of = extract_cone(aig, [lit for i in group
+                                         for lit in cands[i]])
+        shard = [(_translate(lit_of, cands[i][0]),
+                  _translate(lit_of, cands[i][1]), i) for i in group]
         payloads.append((sub, shard, certify, trace))
     if len(payloads) == 1:
         replies = [sweep_partition(payloads[0])]
@@ -397,112 +367,3 @@ def solve_sweep_parallel(aig: AIG, cands: Sequence[tuple[int, int]],
             if adopt is not None:
                 adopt(reply["spans"], tid=20_000_000 + worker)
     return merged
-
-
-@dataclass
-class PartitionedVerdict:
-    """Merged outcome of a pool of :func:`solve_partition` shards."""
-
-    satisfiable: bool
-    #: Named counterexample assignment from the refuting shard (SAT only).
-    inputs: Optional[dict[str, int]] = None
-    state: Optional[dict[str, int]] = None
-    stats: SolverStats = field(default_factory=SolverStats)
-    cnf_vars: int = 0
-    cnf_clauses: int = 0
-    #: Critical-path (max-over-workers) encode/solve wall time.
-    encode_seconds: float = 0.0
-    solve_seconds: float = 0.0
-    preprocessor: Optional[dict] = None
-    proof_checked: Optional[bool] = None
-    proof_clauses: int = 0
-    proof_bytes: int = 0
-    proof_check_seconds: float = 0.0
-    partitions: int = 0
-    #: Shards actually completed (fewer than ``partitions`` when the
-    #: first refutation cancelled its siblings).
-    completed: int = 0
-
-
-def _merge_results(results: list[dict], partitions: int,
-                   certify: bool) -> PartitionedVerdict:
-    merged = PartitionedVerdict(satisfiable=False, partitions=partitions,
-                                completed=len(results))
-    pp_sum: dict[str, float] = {}
-    saw_pp = False
-    for res in results:
-        merged.stats.accumulate(res["stats"])
-        merged.cnf_vars += res["cnf_vars"]
-        merged.cnf_clauses += res["cnf_clauses"]
-        merged.encode_seconds = max(merged.encode_seconds,
-                                    res["encode_seconds"])
-        merged.solve_seconds = max(merged.solve_seconds,
-                                   res["solve_seconds"])
-        merged.proof_clauses += res["proof_clauses"]
-        merged.proof_bytes += res["proof_bytes"]
-        merged.proof_check_seconds += res["proof_check_seconds"]
-        if res["preprocessor"] is not None:
-            saw_pp = True
-            for key, value in res["preprocessor"].items():
-                if isinstance(value, (int, float)):
-                    pp_sum[key] = pp_sum.get(key, 0) + value
-        if res["satisfiable"]:
-            merged.satisfiable = True
-            merged.inputs = res["inputs"]
-            merged.state = res["state"]
-    if saw_pp:
-        merged.preprocessor = pp_sum
-    if certify and not merged.satisfiable:
-        merged.proof_checked = all(
-            res["proof_checked"] is True for res in results)
-    return merged
-
-
-def solve_pairs_parallel(aig: AIG, pairs: Sequence[tuple[int, int]],
-                         pi_lits: dict[str, int],
-                         latch_lits: dict[str, int],
-                         jobs: int,
-                         options: Optional[PartitionOptions] = None,
-                         words_by_name: Optional[dict[str, int]] = None,
-                         num_patterns: int = 0) -> PartitionedVerdict:
-    """Partition ``pairs``, solve the shards on a process pool, merge.
-
-    The pool is sized ``min(jobs, shards)``; results stream back through
-    ``imap_unordered`` and the first satisfiable shard terminates the
-    pool (its siblings' UNSAT answers cannot change the verdict).  With a
-    single shard the solve runs in-process — no pool, no pickling.
-    Recorded worker spans are stitched into the ambient tracer under
-    synthetic worker thread ids.
-    """
-    import multiprocessing
-
-    if options is None:
-        options = PartitionOptions()
-    tracer = get_tracer()
-    if tracer.enabled:
-        options = PartitionOptions(structural=options.structural,
-                                   preprocess=options.preprocess,
-                                   certify=options.certify, trace=True)
-    parts = partition_pairs(aig, pairs, jobs)
-    payloads = [
-        make_payload(aig, part, pi_lits, latch_lits, options,
-                     words_by_name, num_patterns)
-        for part in parts
-    ]
-    results: list[dict] = []
-    if len(payloads) == 1:
-        results.append(solve_partition(payloads[0]))
-    else:
-        with multiprocessing.Pool(processes=len(payloads)) as pool:
-            for res in pool.imap_unordered(solve_partition, payloads):
-                results.append(res)
-                if res["satisfiable"]:
-                    # First refuting worker cancels its siblings.
-                    pool.terminate()
-                    break
-    if tracer.enabled:
-        for worker, res in enumerate(results):
-            adopt = getattr(tracer, "adopt", None)
-            if adopt is not None:
-                adopt(res["spans"], tid=10_000_000 + worker)
-    return _merge_results(results, len(parts), options.certify)

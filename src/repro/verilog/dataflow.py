@@ -5,15 +5,15 @@ top-level output, which module instances influence that output.  This module
 builds a signal-level dataflow graph that spans the whole hierarchy: signals
 are scoped by instance path, instances appear as explicit graph nodes, and
 reachability queries answer "which instances sit in the transitive fan-in of
-this output?".
+this output?".  The graph is a plain dict-of-sets adjacency (successors and
+predecessors per node) and the queries are breadth-first searches over it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
-
-import networkx as nx
 
 from . import ast
 from .ast import expression_signals, lvalue_signals
@@ -94,17 +94,30 @@ class DataflowGraph:
     """Hierarchy-wide dataflow graph of a design.
 
     Nodes are either ``("sig", scope_path, signal_name)`` or
-    ``("inst", instance_path)``.  A directed edge ``a -> b`` means "a feeds b".
+    ``("inst", instance_path)``.  A directed edge ``a -> b`` means "a feeds b";
+    ``succ[a]`` holds the nodes ``a`` feeds and ``pred[b]`` the nodes that
+    feed ``b``.
     """
 
     def __init__(self, hierarchy: DesignHierarchy):
         self.hierarchy = hierarchy
         self.source = hierarchy.source
         self.top = hierarchy.top
-        self.graph = nx.DiGraph()
+        self.succ: dict[tuple, set[tuple]] = {}
+        self.pred: dict[tuple, set[tuple]] = {}
         self._build_scope(self.source.module(self.top), self.top)
 
     # -- construction -----------------------------------------------------------
+
+    def _add_node(self, node: tuple) -> None:
+        self.succ.setdefault(node, set())
+        self.pred.setdefault(node, set())
+
+    def _add_edge(self, src: tuple, dst: tuple) -> None:
+        self._add_node(src)
+        self._add_node(dst)
+        self.succ[src].add(dst)
+        self.pred[dst].add(src)
 
     def _build_scope(self, module: ast.Module, scope: str) -> None:
         for item in module.items:
@@ -126,8 +139,8 @@ class DataflowGraph:
                     sources |= expression_signals(child)
         for target in targets:
             for source in sources:
-                self.graph.add_edge(_sig(scope, source), _sig(scope, target))
-            self.graph.add_node(_sig(scope, target))
+                self._add_edge(_sig(scope, source), _sig(scope, target))
+            self._add_node(_sig(scope, target))
 
     def _add_always(self, scope: str, item: ast.Always) -> None:
         summary = summarize_statement(item.statement)
@@ -137,13 +150,13 @@ class DataflowGraph:
                 reads |= expression_signals(sens.signal)
         for target in summary.writes:
             for source in reads:
-                self.graph.add_edge(_sig(scope, source), _sig(scope, target))
-            self.graph.add_node(_sig(scope, target))
+                self._add_edge(_sig(scope, source), _sig(scope, target))
+            self._add_node(_sig(scope, target))
 
     def _add_instance(self, scope: str, inst: ast.Instance) -> None:
         child_scope = f"{scope}.{inst.instance_name}"
         inst_node = _inst(child_scope)
-        self.graph.add_node(inst_node)
+        self._add_node(inst_node)
 
         if not self.source.has_module(inst.module_name):
             # Black box: connect conservatively in both directions.
@@ -151,8 +164,8 @@ class DataflowGraph:
                 if conn.expr is None:
                     continue
                 for signal in expression_signals(conn.expr):
-                    self.graph.add_edge(_sig(scope, signal), inst_node)
-                    self.graph.add_edge(inst_node, _sig(scope, signal))
+                    self._add_edge(_sig(scope, signal), inst_node)
+                    self._add_edge(inst_node, _sig(scope, signal))
             return
 
         child_module = self.source.module(inst.module_name)
@@ -165,18 +178,18 @@ class DataflowGraph:
             child_node = _sig(child_scope, port_name)
             if port.direction == "input":
                 for signal in parent_signals:
-                    self.graph.add_edge(_sig(scope, signal), child_node)
-                self.graph.add_edge(child_node, inst_node)
+                    self._add_edge(_sig(scope, signal), child_node)
+                self._add_edge(child_node, inst_node)
             elif port.direction == "output":
                 for signal in parent_signals:
-                    self.graph.add_edge(child_node, _sig(scope, signal))
-                self.graph.add_edge(inst_node, child_node)
+                    self._add_edge(child_node, _sig(scope, signal))
+                self._add_edge(inst_node, child_node)
             else:  # inout: conservative, both directions
                 for signal in parent_signals:
-                    self.graph.add_edge(_sig(scope, signal), child_node)
-                    self.graph.add_edge(child_node, _sig(scope, signal))
-                self.graph.add_edge(inst_node, child_node)
-                self.graph.add_edge(child_node, inst_node)
+                    self._add_edge(_sig(scope, signal), child_node)
+                    self._add_edge(child_node, _sig(scope, signal))
+                self._add_edge(inst_node, child_node)
+                self._add_edge(child_node, inst_node)
         self._build_scope(child_module, child_scope)
 
     @staticmethod
@@ -196,43 +209,51 @@ class DataflowGraph:
 
     # -- queries -----------------------------------------------------------------
 
+    @staticmethod
+    def _reach(adjacency: dict[tuple, set[tuple]], node: tuple) -> set[tuple]:
+        """Nodes reachable from ``node`` along ``adjacency`` (excluding
+        ``node`` itself, even on a cycle through it)."""
+        seen: set = set()
+        queue = deque([node])
+        while queue:
+            for nxt in adjacency.get(queue.popleft(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        seen.discard(node)
+        return seen
+
+    def ancestors(self, node: tuple) -> set[tuple]:
+        """All nodes in the transitive fan-in of ``node``."""
+        return self._reach(self.pred, node)
+
+    def descendants(self, node: tuple) -> set[tuple]:
+        """All nodes in the transitive fan-out of ``node``."""
+        return self._reach(self.succ, node)
+
     def output_node(self, output: str) -> tuple[str, str, str]:
         return _sig(self.top, output)
 
     def instances_affecting_output(self, output: str) -> set[str]:
         """Instance paths whose logic lies in the fan-in cone of ``output``."""
-        node = self.output_node(output)
-        if node not in self.graph:
-            return set()
-        ancestors = nx.ancestors(self.graph, node)
-        return {name[1] for name in ancestors if name[0] == "inst"}
+        return {name[1] for name in self.ancestors(self.output_node(output))
+                if name[0] == "inst"}
 
     def outputs_affected_by_instance(self, instance_path: str,
                                      outputs: Iterable[str]) -> set[str]:
         """Subset of ``outputs`` reachable from the given instance."""
-        node = _inst(instance_path)
-        if node not in self.graph:
-            return set()
-        descendants = nx.descendants(self.graph, node)
-        reachable = set()
-        for output in outputs:
-            if self.output_node(output) in descendants:
-                reachable.add(output)
-        return reachable
+        descendants = self.descendants(_inst(instance_path))
+        return {output for output in outputs
+                if self.output_node(output) in descendants}
 
     def signal_fanin(self, scope: str, signal: str) -> set[tuple[str, str]]:
         """All (scope, signal) pairs in the transitive fan-in of a signal."""
-        node = _sig(scope, signal)
-        if node not in self.graph:
-            return set()
-        return {
-            (item[1], item[2])
-            for item in nx.ancestors(self.graph, node)
-            if item[0] == "sig"
-        }
+        return {(item[1], item[2])
+                for item in self.ancestors(_sig(scope, signal))
+                if item[0] == "sig"}
 
     def instance_nodes(self) -> set[str]:
-        return {n[1] for n in self.graph.nodes if n[0] == "inst"}
+        return {n[1] for n in self.succ if n[0] == "inst"}
 
     def score_instances(self, outputs: Iterable[str]) -> dict[str, int]:
         """Score every instance by the number of selected outputs it influences.

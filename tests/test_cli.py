@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -143,17 +144,6 @@ def test_check_reports_encode_and_solve_time(alu_file):
         assert equivalence["cnf_clauses"] > 0
 
 
-def test_check_gate_encoding_always_solves(alu_file):
-    code, text = _run([alu_file, "--check", "--encoding", "gate", "--json"])
-    assert code == 0
-    equivalence = json.loads(text)["equivalence"]
-    assert equivalence["encoding"] == "gate"
-    assert equivalence["hash_proven"] == 0
-    assert equivalence["encode_seconds"] > 0
-    assert equivalence["solve_seconds"] > 0
-    assert equivalence["cnf_clauses"] > 0
-
-
 def test_bad_cycles_diagnostic(alu_file, capsys):
     assert run([alu_file, "--cycles", "0"]) == 1
     assert "positive integer" in capsys.readouterr().err
@@ -203,13 +193,15 @@ def test_emit_write_failure_is_diagnosed(alu_file, tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_check_prints_solver_stats_when_solving(alu_file):
-    # The gate encoding always reaches the solver, so the human-readable
+def test_check_prints_solver_stats_when_solving(mult_pair):
+    # The multiplier pair reaches the solver, so the human-readable
     # output must carry the search statistics line.
-    code, text = _run([alu_file, "--check", "--encoding", "gate"])
+    fa, fb = mult_pair
+    code, text = _run([fa, "--check-against", fb])
     assert code == 0
-    assert "solver:" in text
-    assert "conflicts" in text and "restarts" in text
+    match = re.search(r"solver: (\d+) conflicts", text)
+    assert match and int(match.group(1)) > 0
+    assert "restarts" in text
     assert "reduced clauses" in text
 
 
@@ -224,10 +216,12 @@ def test_check_omits_solver_stats_when_hash_proven(alu_file):
     assert "solver:" not in text
 
 
-def test_check_json_carries_new_solver_counters(alu_file):
-    code, text = _run([alu_file, "--check", "--encoding", "gate", "--json"])
+def test_check_json_carries_new_solver_counters(mult_pair):
+    fa, fb = mult_pair
+    code, text = _run([fa, "--check-against", fb, "--json"])
     assert code == 0
     solver = json.loads(text)["equivalence"]["solver"]
+    assert solver["conflicts"] > 0
     for key in ("conflicts", "restarts", "lbd_sum", "reduced_clauses",
                 "gc_runs"):
         assert key in solver

@@ -27,6 +27,8 @@ from repro.obs import (
     write_chrome_trace,
 )
 
+from test_cli import MULT_A, MULT_B
+
 ALU = """
 module alu #(parameter W = 4) (
   input [W-1:0] a, input [W-1:0] b, input [1:0] op,
@@ -581,12 +583,13 @@ def test_pipeline_spans_cover_elaborate_opt_cec():
         netlist = elaborate(ALU, top="alu")
         result = optimize(netlist)
         verdict = check_equivalence(netlist, result.netlist)
-        # The AIG miter hash-proves this workload without ever invoking
-        # the solver; the gate-level encoding has to solve, so it also
-        # exercises the solver-stats absorb path.
-        gate_verdict = check_equivalence(netlist, result.netlist,
-                                         encoding="gate")
-    assert verdict.equivalent and gate_verdict.equivalent
+        # The ALU miter may never invoke the solver; the multiplier pair
+        # has to search (asserted below), so it also exercises the
+        # encode/solve spans and the solver-stats absorb path.
+        mult_verdict = check_equivalence(elaborate(MULT_A, top="mult"),
+                                         elaborate(MULT_B, top="mult"))
+    assert verdict.equivalent and mult_verdict.equivalent
+    assert mult_verdict.solver_stats.conflicts > 0
     names = {r.name for r in tracer.spans()}
     assert {"elaborate", "elaborate.parse", "elaborate.lower",
             "optimize", "cec", "cec.lower", "cec.encode",

@@ -13,6 +13,7 @@ from repro.netlist import (
     InterpreterError,
     Netlist,
     elaborate,
+    from_netlist,
     simulate,
 )
 from repro.netlist.aig import aig_not
@@ -24,10 +25,11 @@ from repro.netlist.sat import (
     aig_lit_sat,
     check_equivalence,
     encode_aig_cone,
-    encode_cone,
+    replay_counterexample,
     solve,
 )
 
+from test_cli import MULT_A, MULT_B, MULT_BAD
 from test_elaborate import ALU
 
 # ---------------------------------------------------------------------------
@@ -49,47 +51,35 @@ _GATE_CASES = [
 @pytest.mark.parametrize("gtype,arity", _GATE_CASES,
                          ids=[f"{g.value}{n}" for g, n in _GATE_CASES])
 def test_gate_encoding_matches_simulator(gtype, arity):
-    """Exhaustive truth-table check: the CNF of one gate admits exactly the
-    assignments the bit-level simulator produces."""
+    """Exhaustive truth-table check: one gate, lowered to the AIG and
+    encoded by ``encode_aig_cone`` (structural matching off and on),
+    admits exactly the assignments the bit-level simulator produces."""
     netlist = Netlist("g")
     inputs = [netlist.add_input(f"i{k}") for k in range(arity)]
     out = netlist.add_gate(gtype, inputs)
     netlist.add_output("y", out)
+    aig = from_netlist(netlist)
+    root = aig.output_lit("y")
 
-    for assignment in itertools.product((0, 1), repeat=arity):
-        expected, _ = simulate(
-            netlist, {f"i{k}": v for k, v in enumerate(assignment)})
+    for structural in (False, True):
         cnf = CNF()
-        var_map = encode_cone(cnf, netlist, [out])
-        units = [
-            (var_map[gid] if value else -var_map[gid],)
-            for gid, value in zip(inputs, assignment)
-        ]
-        # Forcing the correct output value must be satisfiable...
-        y = var_map[out]
-        ok = solve(cnf.num_vars,
-                   cnf.clauses + units + [(y if expected["y"] else -y,)])
-        assert ok.satisfiable
-        # ...and forcing the wrong one must not.
-        bad = solve(cnf.num_vars,
-                    cnf.clauses + units + [(-y if expected["y"] else y,)])
-        assert not bad.satisfiable
-
-
-def test_encode_cone_shares_leaves_between_calls():
-    netlist = Netlist("t")
-    a = netlist.add_input("a")
-    y = netlist.make_not(a)
-    netlist.add_output("y", y)
-    cnf = CNF()
-    shared = cnf.new_var()
-    m1 = encode_cone(cnf, netlist, [y], lambda gate: shared)
-    m2 = encode_cone(cnf, netlist, [y], lambda gate: shared)
-    assert m1[a] == m2[a] == shared
-    # The two encodings of NOT(a) over the same leaf must agree:
-    diff = solve(cnf.num_vars, cnf.clauses + [(m1[y], m2[y]),
-                                              (-m1[y], -m2[y])])
-    assert not diff.satisfiable
+        var_map = encode_aig_cone(cnf, aig, [root], structural=structural)
+        y = aig_lit_sat(var_map, root)
+        for assignment in itertools.product((0, 1), repeat=arity):
+            expected, _ = simulate(
+                netlist, {f"i{k}": v for k, v in enumerate(assignment)})
+            units = []
+            for k, value in enumerate(assignment):
+                lit = aig_lit_sat(var_map, aig.input_lit(f"i{k}"))
+                units.append((lit if value else -lit,))
+            # Forcing the correct output value must be satisfiable...
+            ok = solve(cnf.num_vars,
+                       cnf.clauses + units + [(y if expected["y"] else -y,)])
+            assert ok.satisfiable, (structural, assignment)
+            # ...and forcing the wrong one must not.
+            bad = solve(cnf.num_vars,
+                        cnf.clauses + units + [(-y if expected["y"] else y,)])
+            assert not bad.satisfiable, (structural, assignment)
 
 
 def test_cnf_rejects_unknown_literals():
@@ -298,45 +288,24 @@ def test_interpreter_state_injection_validates():
     assert interp.flat_state() == {"counter.q": 10}
 
 
+def _mult_pair():
+    return elaborate(MULT_A, top="mult"), elaborate(MULT_B, top="mult")
+
+
 def test_solver_stats_surface_through_equivalence_result():
-    before = elaborate(COUNTER, top="counter")
-    after = optimize(before).netlist
-    # The gate-level encoding always goes through the solver.
-    verdict = check_equivalence(before, after, encoding="gate")
+    # The re-associated multiplier pair neither hash-merges nor falls to
+    # simulation: the solver has to search (asserted, so the test cannot
+    # pass vacuously).
+    verdict = check_equivalence(*_mult_pair())
     assert verdict.equivalent
-    assert verdict.encoding == "gate"
+    assert verdict.solver_stats.conflicts > 0
     stats = verdict.solver_stats.to_dict()
     assert stats["propagations"] > 0
     assert verdict.encode_seconds > 0
     assert verdict.solve_seconds > 0
     assert verdict.cnf_clauses > 0
-    # The AIG miter proves what it can by hashing; whatever reaches the
-    # solver is a strictly smaller CNF.
-    aig_verdict = check_equivalence(before, after)
-    assert aig_verdict.equivalent
-    assert aig_verdict.encoding == "aig"
-    assert 0 <= aig_verdict.hash_proven <= aig_verdict.compared
-    assert aig_verdict.cnf_clauses < verdict.cnf_clauses
-
-
-def test_encode_cone_var_map_reuse_skips_shared_cones():
-    netlist = Netlist("t")
-    a = netlist.add_input("a")
-    b = netlist.add_input("b")
-    shared = netlist.make_and(a, b)
-    y = netlist.make_not(shared)
-    z = netlist.make_xor(shared, a)
-    netlist.add_output("y", y)
-    netlist.add_output("z", z)
-    cnf = CNF()
-    var_map = encode_cone(cnf, netlist, [y])
-    clauses_after_first = len(cnf.clauses)
-    shared_var = var_map[shared]
-    # Second call over a root sharing the AND cone: only XOR clauses added,
-    # and the shared gate keeps its variable.
-    encode_cone(cnf, netlist, [z], var_map=var_map)
-    assert var_map[shared] == shared_var
-    assert len(cnf.clauses) == clauses_after_first + 4  # binary XOR only
+    # Hash-proven pairs never reach the solver.
+    assert 0 <= verdict.hash_proven < verdict.compared
 
 
 def test_miter_of_gate_free_design():
@@ -401,35 +370,24 @@ def test_aig_miter_hash_proves_commuted_operands():
 
 
 def test_aig_and_gate_encodings_agree_on_refutation():
+    """An AIG-miter refutation, from the simulation check or from the
+    solver, must be a real disagreement of the gate-level netlists: the
+    per-gate simulator reproduces every reported diff."""
     good = elaborate(ALU, top="alu")
     bad = elaborate(ALU.replace("a ^ b", "a ^ ~b"), top="alu")
-    for encoding in ("aig", "gate"):
-        verdict = check_equivalence(good, bad, encoding=encoding)
+    for sim_patterns in (64, 0):
+        verdict = check_equivalence(good, bad, sim_patterns=sim_patterns,
+                                    sweep=False)
         assert not verdict.equivalent
-        assert verdict.counterexample is not None
-        assert verdict.counterexample.diff  # replay confirmed it
-        assert verdict.encoding == encoding
-
-
-def test_aig_miter_cnf_smaller_than_gate_miter():
-    before = elaborate(ALU, top="alu")
-    after = elaborate(ALU, top="alu")
-    # Perturb `after` so the miter actually reaches the solver: re-express
-    # one output bit through an inverter pair the AIG folds away.
-    net = after.output_net("y[0]")
-    doubled = after.make_not(after.make_not(net))
-    after.outputs[after.output_names().index("y[0]")] = ("y[0]", doubled)
-    after._output_index["y[0]"] = doubled
-    gate = check_equivalence(before, after, encoding="gate")
-    aig = check_equivalence(before, after, encoding="aig")
-    assert gate.equivalent and aig.equivalent
-    assert aig.cnf_clauses < gate.cnf_clauses
-
-
-def test_unknown_encoding_rejected():
-    netlist = _and_xor_netlist()
-    with pytest.raises(ValueError, match="'aig', 'gate'"):
-        check_equivalence(netlist, netlist, encoding="bdd")
+        assert verdict.refuted_by_simulation == (sim_patterns > 0)
+        cex = verdict.counterexample
+        assert cex is not None and cex.diff
+        b_out, _ = simulate(good, cex.inputs)
+        a_out, _ = simulate(bad, cex.inputs)
+        for kind, name, b_val, a_val in cex.diff:
+            assert kind == "output"
+            assert (b_out[name], a_out[name]) == (b_val, a_val)
+            assert b_val != a_val
 
 
 # ---------------------------------------------------------------------------
@@ -497,15 +455,15 @@ def test_solver_assumption_gated_miters():
 def test_check_equivalence_accepts_a_solver_factory():
     from repro.netlist.sat import ReferenceSolver
 
-    netlist = elaborate(ALU, top="alu")
-    optimized = optimize(netlist).netlist
-    production = check_equivalence(netlist, optimized, encoding="gate")
-    reference = check_equivalence(netlist, optimized, encoding="gate",
+    before, after = _mult_pair()
+    production = check_equivalence(before, after)
+    reference = check_equivalence(before, after,
                                   solver_factory=ReferenceSolver)
     assert production.equivalent and reference.equivalent
-    # Both engines really solved (the gate encoding cannot hash-prove).
-    assert production.solver_stats.propagations > 0
-    assert reference.solver_stats.propagations > 0
+    # Both engines really searched: the multiplier pair reaches the
+    # top-level solve.
+    assert production.solver_stats.conflicts > 0
+    assert reference.solver_stats.conflicts > 0
 
 
 def test_solver_factories_agree_on_a_refutation():
@@ -683,3 +641,117 @@ endmodule
     for sweep in ("auto", True, False):
         verdict = check_equivalence(before, after, sweep=sweep)
         assert verdict.equivalent, f"sweep={sweep}"
+
+
+# ---------------------------------------------------------------------------
+# Serial / partitioned parity: jobs=1 and jobs=2 run the same decide stage
+# ---------------------------------------------------------------------------
+
+
+def _broken_counter():
+    netlist = elaborate(COUNTER, top="counter")
+    name, gid = sorted(netlist.register_map().items())[0]
+    data = netlist.gates[gid].fanins[0]
+    netlist.set_fanins(gid, (netlist.make_not(data),))
+    return netlist
+
+
+def _parity_cases():
+    alu = elaborate(ALU, top="alu")
+    counter = elaborate(COUNTER, top="counter")
+    mult_a, mult_b = _mult_pair()
+    return {
+        "alu": (alu, optimize(alu).netlist),
+        "alu_broken": (alu, elaborate(ALU.replace("a ^ b", "a ^ ~b"),
+                                      top="alu")),
+        "counter": (counter, optimize(counter).netlist),
+        "counter_broken": (counter, _broken_counter()),
+        "mult": (mult_a, mult_b),
+        "mult_broken": (mult_a, elaborate(MULT_BAD, top="mult")),
+    }
+
+
+_PARITY_CONFIGS = {
+    "default": {},
+    # No simulation check and no sweep: every surviving pair reaches the
+    # decide stage, so jobs=2 really shards it.
+    "solve": {"sim_patterns": 0, "sweep": False},
+}
+
+
+@pytest.mark.parametrize("config", sorted(_PARITY_CONFIGS))
+@pytest.mark.parametrize("case", sorted(_parity_cases()))
+def test_serial_and_partitioned_cec_agree(case, config):
+    before, after = _parity_cases()[case]
+    options = _PARITY_CONFIGS[config]
+    serial = check_equivalence(before, after, jobs=1, **options)
+    parallel = check_equivalence(before, after, jobs=2, **options)
+    for name in ("equivalent", "compared", "hash_proven", "sweep_proven",
+                 "refuted_by_simulation"):
+        assert getattr(serial, name) == getattr(parallel, name), name
+    assert set(serial.to_report()) == set(parallel.to_report())
+    assert serial.equivalent == (not case.endswith("_broken"))
+    assert serial.partitions == 0
+    if config == "solve" and parallel.compared - parallel.hash_proven > 1:
+        # Precondition: the partitioned decide stage actually ran.
+        assert parallel.partitions >= 1 and parallel.jobs == 2
+    for verdict in (serial, parallel):
+        if verdict.equivalent:
+            assert verdict.counterexample is None
+            continue
+        cex = verdict.counterexample
+        assert cex is not None and cex.diff
+        assert replay_counterexample(before, after, cex.inputs,
+                                     cex.state) == cex.diff
+
+
+def test_sat_verdict_carries_sweep_proof_counters():
+    """A refutation found after a certified sweep still reports the
+    sweep's proof work, check time included."""
+    good = elaborate(ALU, top="alu")
+    bad = elaborate(ALU.replace("a ^ b", "a ^ ~b"), top="alu")
+    verdict = check_equivalence(good, bad, sim_patterns=0, sweep=True,
+                                certify=True)
+    assert not verdict.equivalent
+    assert verdict.proof_clauses > 0
+    assert verdict.proof_check_seconds > 0
+
+
+def _associativity_miter():
+    aig = AIG()
+    a, b, c, d = (aig.add_input(name) for name in "abcd")
+    pairs = [(aig.aig_and(a, aig.aig_and(b, c)),
+              aig.aig_and(aig.aig_and(a, b), c)),
+             (aig.aig_and(b, aig.aig_and(c, d)),
+              aig.aig_and(aig.aig_and(b, c), d))]
+    lits = {name: aig.input_lit(name) for name in "abcd"}
+    return aig, pairs, lits
+
+
+def test_encode_seconds_exclude_preprocessing(monkeypatch):
+    """The serial decide stage and the partition worker time encoding
+    alone; preprocessing is reported in ``preprocessor["seconds"]``."""
+    import time
+
+    from repro.netlist.sat import cec, decide, solve_pairs_parallel
+
+    delay = 0.2
+    calls = []
+    real = cec.simplify_cnf
+
+    def slow_preprocess(*args, **kwargs):
+        calls.append(1)
+        time.sleep(delay)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cec, "simplify_cnf", slow_preprocess)
+    aig, pairs, lits = _associativity_miter()
+    serial = decide(aig, pairs, lits, {})
+    # One shard: the worker entry point runs in-process.
+    sharded = solve_pairs_parallel(aig, pairs, lits, {}, jobs=1)
+    assert len(calls) == 2
+    for decision in (serial, sharded):
+        assert not decision.satisfiable
+        assert decision.preprocessor is not None
+        assert decision.encode_seconds < delay
+    assert sharded.partitions == 1

@@ -68,11 +68,14 @@ def test_canonical_options_drops_jobs():
 def test_canonical_options_rejects_unknown_keys():
     with pytest.raises(ValueError):
         canonical_options({"encodng": "aig"})
+    # The miter construction is no longer an option.
+    with pytest.raises(ValueError):
+        canonical_options({"encoding": "aig"})
 
 
 def test_canonical_options_coerces_and_orders():
-    a = canonical_options({"certify": 1, "encoding": "aig"})
-    b = canonical_options({"encoding": "aig", "certify": True})
+    a = canonical_options({"certify": 1, "preprocess": 0})
+    b = canonical_options({"preprocess": False, "certify": True})
     assert a == b
     assert a["certify"] is True
 

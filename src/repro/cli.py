@@ -153,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve the miter's root pairs in up to N worker processes "
              "during --check (fanin-cone-balanced partitions; the first "
              "refuting worker cancels its siblings, and --certify still "
-             "RUP-checks every worker's proof)")
+             "RUP-checks every worker's proof; --solve-log keeps the "
+             "check serial)")
     parser.add_argument(
         "--cache", metavar="DIR",
         help="consult (and fill) the content-hash result cache in DIR "
@@ -335,7 +336,10 @@ def _execute(args, out, tracer) -> int:
                 raise CLIError(
                     f"cannot write '{args.solve_log}': "
                     f"{exc.strerror}") from exc
-        if args.certify or args.solve_log:
+        if args.solve_log:
+            # Only a live stream needs a caller-owned log; --certify alone
+            # lets each decide stage (partition workers included) keep its
+            # own, so --jobs still fans out.
             proof = ProofLog(stream=log_handle)
         # The on-disk content-hash cache (shared with repro.server):
         # when the exact pair + options was verified before, serve the

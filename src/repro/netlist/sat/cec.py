@@ -28,13 +28,17 @@ The check is a sequence of stage functions over one small context
    onto one literal are *sweep-proven*.  The patterns that refuted sweep
    candidates re-run the simcheck on the surviving pairs.
 4. **decide** (:func:`decide`) — structure-aware encoding of the
-   surviving cones (``cec.encode``,
+   surviving cones with one disagreement variable ``z_i`` per pair and
+   the clause ``OR(z_i)`` (``cec.encode``,
    :func:`~repro.netlist.sat.cnf.encode_aig_cone`), SatELite-style CNF
-   preprocessing with the shared input/state variables frozen
-   (``cec.preprocess``), CDCL with saved phases seeded from the
-   simulation signatures and VSIDS activity from cone fanout
-   (``cec.solve``), model readback, and DRAT certification
-   (``cec.certify``).  With ``jobs > 1`` the partition workers of
+   preprocessing with the shared input/state variables and the ``z_i``
+   frozen (``cec.preprocess``), then one incremental CDCL solver that
+   proves the pairs one at a time, smallest cone first, each proven
+   pair asserted equal (``¬z_i``) for the next query, with saved phases
+   seeded from the simulation signatures and VSIDS activity from cone
+   fanout (``cec.solve``); model readback at the first SAT query, and
+   DRAT certification of the whole loop (``cec.certify``).  With
+   ``jobs > 1`` the partition workers of
    :mod:`~repro.netlist.sat.partition` run this same function on their
    shards (``cec.parallel`` / ``cec.partition``).
 5. **replay** (``cec.replay``) — a SAT verdict is never returned raw: the
@@ -51,9 +55,10 @@ netlist only, so a register that still mattered would show up as an output
 or next-state disagreement.
 
 Certification survives every stage: preprocessing emits RUP-checkable DRAT
-steps into the same proof log the solver extends, sweep merges are
-certified per-merge inside the sweep, and an UNSAT verdict is checked
-against the *original* (pre-preprocessing) CNF.
+steps into the same proof log the solver extends, the decide loop logs
+each proven pair's ``¬z_i`` as a lemma, sweep merges are certified
+per-merge inside the sweep, and an UNSAT verdict is checked against the
+*original* (pre-preprocessing) CNF.
 """
 
 from __future__ import annotations
@@ -327,8 +332,13 @@ def _check_interfaces(b_in: dict, a_in: dict,
 
 
 def _assert_disagreement(cnf: CNF,
-                         pairs: list[tuple[int, int]]) -> None:
-    """Assert that at least one ``(b_var, a_var)`` pair differs."""
+                         pairs: list[tuple[int, int]]) -> list[int]:
+    """Assert that at least one ``(b_var, a_var)`` pair differs.
+
+    Returns the per-pair disagreement variables ``z_i`` (``z_i`` is true
+    exactly when pair ``i`` differs); the clause ``OR(z_i)`` closes the
+    miter.
+    """
     disagree: list[int] = []
     for b_var, a_var in pairs:
         z = cnf.new_var()
@@ -338,6 +348,7 @@ def _assert_disagreement(cnf: CNF,
         cnf.add_clause(z, b_var, -a_var)
         disagree.append(z)
     cnf.add_clause(*disagree)
+    return disagree
 
 
 def _lower(before: Netlist, after: Netlist, span, certify: bool) -> _Miter:
@@ -500,16 +511,18 @@ def _sweep(ctx: _Miter, patterns: int, seed: int, solver_factory) -> None:
 def _encode_pairs(cnf: CNF, aig: AIG, pairs: list[tuple[int, int]],
                   pi_lits: dict[str, int], latch_lits: dict[str, int],
                   structural: bool
-                  ) -> tuple[dict[int, int], dict[str, int], dict[str, int]]:
+                  ) -> tuple[dict[int, int], dict[str, int], dict[str, int],
+                             list[int]]:
     """Encode the cones of the differing pairs and assert the miter output.
 
-    Returns ``(var_map, input_vars, state_vars)``.  Leaves outside every
-    encoded cone never get a variable: they cannot influence the verdict
-    and default to 0 in counterexamples.
+    Returns ``(var_map, input_vars, state_vars, disagree)`` where
+    ``disagree[i]`` is pair ``i``'s disagreement variable.  Leaves outside
+    every encoded cone never get a variable: they cannot influence the
+    verdict and default to 0 in counterexamples.
     """
     roots = [lit for pair in pairs for lit in pair]
     var_map = encode_aig_cone(cnf, aig, roots, structural=structural)
-    _assert_disagreement(cnf, [
+    disagree = _assert_disagreement(cnf, [
         (aig_lit_sat(var_map, b), aig_lit_sat(var_map, a))
         for b, a in pairs
     ])
@@ -518,7 +531,7 @@ def _encode_pairs(cnf: CNF, aig: AIG, pairs: list[tuple[int, int]],
     state_vars = {name: var_map[lit >> 1]
                   for name, lit in latch_lits.items()
                   if (lit >> 1) in var_map}
-    return var_map, input_vars, state_vars
+    return var_map, input_vars, state_vars, disagree
 
 
 def _seed_solver(solver, var_map: dict[int, int], aig: AIG,
@@ -558,6 +571,38 @@ def _seed_solver(solver, var_map: dict[int, int], aig: AIG,
             })
 
 
+def _query_pairs(solver, aig: AIG, pairs: list[tuple[int, int]],
+                 disagree: list[int], proof: Optional[ProofLog],
+                 tracer) -> tuple[SolverResult, int]:
+    """The solve step of :func:`decide`: one assumption query per pair.
+
+    Pairs are asked smallest fanin cone first (ties keep their order).
+    Each UNSAT answer proves its pair equal, and ``¬z_i`` joins the
+    clause set (logged to ``proof`` first, so the proof stays RUP) for
+    every later query to propagate from.  Returns the first satisfiable
+    result, or — every pair proven, ``OR(z_i)`` now falsified — the last
+    UNSAT one with the empty clause logged; and the number of queries.
+    """
+    order = sorted(range(len(pairs)), key=lambda i: len(aig.cone(pairs[i])))
+    result = SolverResult(False, stats=SolverStats())
+    seen = 0
+    for queries, i in enumerate(order, 1):
+        z = disagree[i]
+        result = solver.solve(assumptions=(z,))
+        if tracer.enabled:
+            tracer.metrics.histogram("cec.pair_conflicts").observe(
+                result.stats.conflicts - seen)
+        seen = result.stats.conflicts
+        if result.satisfiable:
+            return result, queries
+        if proof is not None:
+            proof.add((-z,))
+        solver.add_clause((-z,))
+    if proof is not None:
+        proof.add(())
+    return result, len(order)
+
+
 def decide(aig: AIG, pairs: list[tuple[int, int]],
            input_lits: dict[str, int], latch_lits: dict[str, int], *,
            structural: bool = True, preprocess: bool = True,
@@ -567,13 +612,28 @@ def decide(aig: AIG, pairs: list[tuple[int, int]],
     """Stage 4: decide whether any root pair of a miter AIG can differ.
 
     Encodes the cones of ``pairs`` (``structural`` XOR/MUX/majority
-    matching) and asserts their disagreement, preprocesses the CNF with
-    the named leaf variables (``input_lits`` / ``latch_lits``) frozen,
-    solves it — saved phases and activities seeded from ``sigs``, the
-    packed ``num_patterns``-wide node signatures, when given — reads a
-    model back as named leaf values, and on UNSAT under ``certify``
-    RUP-checks the proof against the original CNF.  ``proof`` is the log
-    to write into (one is created under ``certify``).
+    matching), one disagreement variable ``z_i`` per pair and the clause
+    ``OR(z_i)``, then preprocesses the CNF with the named leaf variables
+    (``input_lits`` / ``latch_lits``) and every ``z_i`` frozen.
+
+    The solve step proves the pairs one at a time in one incremental
+    solver, the per-output scheme of ABC-style CEC (Mishchenko et al.,
+    ICCAD 2006): pairs are asked smallest fanin cone first as
+    ``solve(assumptions=[z_i])``.  An UNSAT answer proves pair ``i``
+    equal; ``¬z_i`` is then added as a clause, so that equality and every
+    clause learned on the way help each later query.  The first SAT
+    answer stops the loop and its model is read back as named leaf
+    values.  Any engine with ``solve(assumptions=)`` and ``add_clause``
+    works; saved phases and activities are seeded from ``sigs``, the
+    packed ``num_patterns``-wide node signatures, when given and the
+    engine supports it.
+
+    Under ``certify`` each ``¬z_i`` is logged as a DRAT lemma before it is
+    added and the empty clause closes the proof once every pair is
+    proven; on UNSAT the one proof — preprocessing steps, learned clauses
+    and pair lemmas — is RUP-checked against the original encoded CNF,
+    which holds no ``¬z_i``.  ``proof`` is the log to write into (one is
+    created under ``certify``).
 
     :func:`check_equivalence` calls this on the whole miter; the
     ``jobs > 1`` partition workers call it on their shards.  Every call
@@ -584,7 +644,7 @@ def decide(aig: AIG, pairs: list[tuple[int, int]],
     cnf = CNF()
     with tracer.span("cec.encode", design=aig.name,
                      pairs=len(pairs)) as span:
-        var_map, input_vars, state_vars = _encode_pairs(
+        var_map, input_vars, state_vars, disagree = _encode_pairs(
             cnf, aig, pairs, input_lits, latch_lits, structural)
         span.set(cnf_vars=cnf.num_vars, cnf_clauses=len(cnf.clauses))
     encode_seconds = time.perf_counter() - start
@@ -593,11 +653,11 @@ def decide(aig: AIG, pairs: list[tuple[int, int]],
         proof = ProofLog()
     # The proof steps preprocessing emits precede the solver's, so one log
     # certifies the whole stage against the original CNF.  Leaf variables
-    # are frozen: they must survive for model readback.
+    # are frozen for model readback, the z_i for the pair queries.
     pre = None
     solve_clauses = cnf.clauses
     if preprocess and cnf.clauses:
-        frozen = set(input_vars.values()) | set(state_vars.values())
+        frozen = {*input_vars.values(), *state_vars.values(), *disagree}
         with tracer.span("cec.preprocess",
                          cnf_clauses=len(cnf.clauses)) as pp_span:
             pre = simplify_cnf(cnf.num_vars, cnf.clauses, frozen=frozen,
@@ -622,9 +682,11 @@ def decide(aig: AIG, pairs: list[tuple[int, int]],
             if sigs is not None and var_map:
                 _seed_solver(solver, var_map, aig, sigs, num_patterns)
             attach_solver_progress(solver, tracer)
-            result = solver.solve()
+            result, queries = _query_pairs(solver, aig, pairs, disagree,
+                                           proof, tracer)
             solve_span.set(satisfiable=result.satisfiable,
-                           conflicts=result.stats.conflicts)
+                           conflicts=result.stats.conflicts,
+                           queries=queries)
         solve_seconds = time.perf_counter() - start
 
     decision = Decision(

@@ -1,9 +1,8 @@
 """Per-output-pair partitioning of miters into parallel SAT sub-jobs.
 
 A multi-output miter is embarrassingly parallel: every root pair (output
-or next-state function) can be decided by its own solver over its own
-fanin cone.  This module shards proof work across a
-:mod:`multiprocessing` pool for
+or next-state function) can be decided over its own fanin cone.  This
+module shards proof work across a :mod:`multiprocessing` pool for
 :func:`~repro.netlist.sat.cec.check_equivalence` (``jobs=N``),
 :func:`~repro.netlist.opt.fraig.fraig_sweep` (``jobs=N``) and the
 :mod:`repro.server` daemon:
@@ -15,15 +14,19 @@ fanin cone.  This module shards proof work across a
   into size-balanced groups (greedy largest-cone-first bin packing, so
   one huge output does not serialize the batch behind it);
 * :func:`solve_partition` is the CEC worker entry point: it runs the
-  serial path's own decide stage (:func:`~repro.netlist.sat.cec.decide`:
-  encode, preprocess, seeded solve, model readback, DRAT check) on one
-  shard, certifying *inside the worker* against the shard's own CNF;
+  serial path's own decide stage (:func:`~repro.netlist.sat.cec.decide`)
+  on one shard — encode, preprocess, then one incremental solver that
+  proves the shard's pairs one at a time, smallest cone first, each
+  proven pair asserted equal for the next — and certifies *inside the
+  worker* against the shard's own encoded CNF;
 * :func:`solve_pairs_parallel` drives the pool: payloads are dispatched
   with ``imap_unordered`` and **the first refuting worker cancels its
   siblings** (a counterexample for any pair refutes the whole miter, so
   finishing the other shards would be wasted work).  All-UNSAT shards
   merge into one :class:`~repro.netlist.sat.cec.Decision` with
-  accumulated solver statistics and summed proof counters;
+  accumulated solver statistics and summed proof counters, and the
+  workers' per-pair conflict counts join the parent's
+  ``cec.pair_conflicts`` histogram;
 * :func:`sweep_partition` / :func:`solve_sweep_parallel` answer FRAIG
   merge candidates the same way, with no early cancellation.
 
@@ -38,7 +41,7 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence
 
-from ...obs import Tracer, get_tracer, use_tracer
+from ...obs import Histogram, Tracer, get_tracer, use_tracer
 from ..aig import AIG, _AND, _LATCH, _PI
 from ..sim import aig_signatures
 from .cec import Decision, decide
@@ -132,14 +135,16 @@ def make_payload(aig: AIG, pairs: Sequence[tuple[int, int]],
             num_patterns, trace)
 
 
-def solve_partition(payload: tuple) -> tuple[Decision, list]:
+def solve_partition(payload: tuple
+                    ) -> tuple[Decision, list, Optional[Histogram]]:
     """Worker entry point: decide one shard of the miter.
 
     Module-level (and all-picklable in and out) so it crosses the
     :mod:`multiprocessing` boundary.  Rebuilds the shard's simulation
     signatures from the named stimulus words and runs
     :func:`~repro.netlist.sat.cec.decide` on it.  Returns the decision
-    and, when tracing, the worker's recorded spans.
+    and, when tracing, the worker's recorded spans and its
+    ``cec.pair_conflicts`` histogram (else ``[]`` and None).
     """
     (sub, pairs, input_lits, latch_lits, options, words, num_patterns,
      trace) = payload
@@ -162,7 +167,10 @@ def solve_partition(payload: tuple) -> tuple[Decision, list]:
                               **options)
             span.set(satisfiable=decision.satisfiable,
                      conflicts=decision.stats.conflicts)
-    return decision, (tracer.records if trace else [])
+    if not trace:
+        return decision, [], None
+    return (decision, tracer.records,
+            tracer.metrics.histogram("cec.pair_conflicts"))
 
 
 def _merge(decisions: list[Decision], partitions: int) -> Decision:
@@ -220,7 +228,7 @@ def solve_pairs_parallel(aig: AIG, pairs: Sequence[tuple[int, int]],
                      bool(tracer.enabled))
         for group in groups
     ]
-    replies: list[tuple[Decision, list]] = []
+    replies: list[tuple[Decision, list, Optional[Histogram]]] = []
     if len(payloads) == 1:
         replies.append(solve_partition(payloads[0]))
     else:
@@ -233,9 +241,11 @@ def solve_pairs_parallel(aig: AIG, pairs: Sequence[tuple[int, int]],
                     break
     adopt = getattr(tracer, "adopt", None)
     if tracer.enabled and adopt is not None:
-        for worker, (_, spans) in enumerate(replies):
+        pair_conflicts = tracer.metrics.histogram("cec.pair_conflicts")
+        for worker, (_, spans, conflicts) in enumerate(replies):
             adopt(spans, tid=10_000_000 + worker)
-    return _merge([decision for decision, _ in replies], len(groups))
+            pair_conflicts.merge(conflicts)
+    return _merge([decision for decision, _, _ in replies], len(groups))
 
 
 def sweep_partition(payload: tuple) -> dict:

@@ -81,6 +81,12 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
+    def merge(self, other: "Histogram") -> None:
+        """Observe every sample of ``other`` (a histogram a worker
+        process filled and shipped back)."""
+        for value in other._samples:
+            self.observe(value)
+
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

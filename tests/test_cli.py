@@ -405,6 +405,8 @@ def test_jobs_certified_parallel(mult_pair):
     assert code == 0
     eq = json.loads(text)["equivalence"]
     assert eq["equivalent"] is True
+    # --certify alone must not pin the check to the serial path.
+    assert eq["jobs"] == 2 and eq["partitions"] >= 2
     assert eq["proof"]["certified"] is True
     assert eq["proof"]["checked"] is True
 

@@ -27,7 +27,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 
-from test_cli import MULT_A, MULT_B
+from test_cli import MULT_A, MULT_B, MULT_BAD
 
 ALU = """
 module alu #(parameter W = 4) (
@@ -603,6 +603,38 @@ def test_pipeline_spans_cover_elaborate_opt_cec():
     assert pairs and all("name" in r.args for r in pairs)
     # Solver stats absorbed into the metrics registry.
     assert "cec.solver.propagations" in tracer.metrics.to_dict()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("after_src", [MULT_B, MULT_BAD],
+                         ids=["proven", "refuted"])
+def test_cec_solve_counts_pair_queries_and_their_conflicts(after_src, jobs):
+    """The decide stage asks one solver query per root pair: the
+    ``cec.solve`` span counts the queries, and each query's conflicts
+    land in the ``cec.pair_conflicts`` histogram, partition workers'
+    included.  A refutation stops at the first SAT query."""
+    before = elaborate(MULT_A, top="mult")
+    after = elaborate(after_src, top="mult")
+    tracer = Tracer()
+    with use_tracer(tracer):
+        # No simulation check and no sweep: every pair reaches decide.
+        verdict = check_equivalence(before, after, sim_patterns=0,
+                                    sweep=False, jobs=jobs)
+    assert verdict.equivalent == (after_src is MULT_B)
+    pairs = verdict.compared - verdict.hash_proven
+    assert pairs > 1
+    solves = [r for r in tracer.spans() if r.name == "cec.solve"]
+    assert solves
+    queries = sum(r.args["queries"] for r in solves)
+    hist = tracer.metrics.histogram("cec.pair_conflicts")
+    assert hist.count == queries
+    assert hist.total == verdict.solver_stats.conflicts
+    assert "cec.solve_seconds" in tracer.metrics
+    if verdict.equivalent:
+        assert queries == pairs
+        assert verdict.solver_stats.conflicts > 0
+    else:
+        assert 1 <= queries <= pairs
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,69 @@ def test_check_equivalence_certify_with_reference_engine():
     assert result.equivalent and result.proof_checked is True
 
 
+def _spy_on_checker(monkeypatch):
+    """Record the formula and proof steps every certified decide stage
+    hands to ``check_drat``."""
+    from repro.netlist.sat import cec
+
+    seen = []
+    real = cec.check_drat
+
+    def spy(cnf, proof, *args, **kwargs):
+        seen.append((list(cnf.clauses), list(proof.steps)))
+        return real(cnf, proof, *args, **kwargs)
+
+    monkeypatch.setattr(cec, "check_drat", spy)
+    return seen
+
+
+@pytest.mark.parametrize("engine", [Solver, ReferenceSolver])
+def test_certified_decide_checks_the_encoded_cnf(monkeypatch, engine):
+    """The formula the checker sees is exactly the encoded miter
+    (``cnf_clauses`` clauses, closed by ``OR(z_i)``): each proven pair's
+    ``¬z_i`` enters only as a proof lemma, and the proof ends in the
+    empty clause."""
+    seen = _spy_on_checker(monkeypatch)
+    verdict = check_equivalence(elaborate(MULT_A), elaborate(MULT_B),
+                                certify=True, sim_patterns=0, sweep=False,
+                                solver_factory=engine)
+    assert verdict.equivalent and verdict.proof_checked is True
+    ((clauses, steps),) = seen
+    assert len(clauses) == verdict.cnf_clauses
+    disagree = clauses[-1]
+    assert len(disagree) == verdict.compared - verdict.hash_proven > 1
+    assert not any(len(clause) == 1 and -clause[0] in disagree
+                   for clause in clauses)
+    lemmas = {lits for kind, lits in steps if kind == "a"}
+    assert all((-z,) in lemmas for z in disagree)
+    assert steps[-1] == ("a", ())
+
+
+@pytest.mark.parametrize("engine", [Solver, ReferenceSolver])
+def test_proof_cut_at_the_last_pair_query_is_rejected(monkeypatch, engine):
+    """Earlier pair lemmas do not certify the miter: a proof truncated
+    where the last pair's query began fails the check."""
+    seen = _spy_on_checker(monkeypatch)
+    proof = ProofLog()
+    marks = []
+
+    class MarkingEngine(engine):
+        def solve(self, assumptions=()):
+            marks.append(len(proof))
+            return super().solve(assumptions=assumptions)
+
+    verdict = check_equivalence(elaborate(MULT_A), elaborate(MULT_B),
+                                certify=True, proof=proof, sim_patterns=0,
+                                sweep=False, solver_factory=MarkingEngine)
+    assert verdict.equivalent and verdict.proof_checked is True
+    ((clauses, steps),) = seen
+    assert len(marks) == verdict.compared - verdict.hash_proven > 1
+    assert check_drat(clauses, steps).ok
+    truncated = check_drat(clauses, steps[:marks[-1]])
+    assert not truncated
+    assert "empty clause" in truncated.reason
+
+
 def test_fraig_sweep_certify():
     # a - b and the comparator's borrow chain are equivalent but not
     # structurally identical, so fraig has real merges to SAT-prove.

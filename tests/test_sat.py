@@ -1,6 +1,7 @@
 """Tests for the SAT subsystem (repro.netlist.sat): CNF encoding, the CDCL
 solver, and miter-based equivalence checking with counterexample replay."""
 
+import functools
 import itertools
 import random
 
@@ -16,11 +17,12 @@ from repro.netlist import (
     from_netlist,
     simulate,
 )
-from repro.netlist.aig import aig_not
+from repro.netlist.aig import aig_not, insert_netlist
 from repro.netlist.opt import optimize
 from repro.netlist.sat import (
     CECError,
     CNF,
+    ReferenceSolver,
     Solver,
     aig_lit_sat,
     check_equivalence,
@@ -28,6 +30,8 @@ from repro.netlist.sat import (
     replay_counterexample,
     solve,
 )
+
+from repro.obs import Tracer, use_tracer
 
 from test_cli import MULT_A, MULT_B, MULT_BAD
 from test_elaborate import ALU
@@ -755,3 +759,209 @@ def test_encode_seconds_exclude_preprocessing(monkeypatch):
         assert decision.preprocessor is not None
         assert decision.encode_seconds < delay
     assert sharded.partitions == 1
+
+
+# ---------------------------------------------------------------------------
+# Per-pair decide parity: check_equivalence vs one monolithic solve
+# ---------------------------------------------------------------------------
+
+
+def _array_mult_src(width):
+    """Carry-save array multiplier: structurally unlike the shift-and-add
+    lowering of ``*``, so its miter needs the solver."""
+    wide = 2 * width
+    return f"""
+module mult (input [{width - 1}:0] a, input [{width - 1}:0] b,
+             output reg [{wide - 1}:0] p);
+  reg [{wide - 1}:0] pp;
+  reg [{wide - 1}:0] sum;
+  reg [{wide - 1}:0] carry;
+  reg [{wide - 1}:0] next;
+  integer r;
+  always @(*) begin
+    sum = 0;
+    carry = 0;
+    for (r = 0; r < {width}; r = r + 1) begin
+      pp = b[r] ? ({{{width}'d0, a}} << r) : 0;
+      next = sum ^ pp ^ carry;
+      carry = ((sum & pp) | (carry & (sum ^ pp))) << 1;
+      sum = next;
+    end
+    p = sum + carry;
+  end
+endmodule
+"""
+
+
+def _shift_add_mult_src(width, broken=False):
+    """``a * b``; the broken twin XORs ``a[W-1] & b[W-1]`` into the top
+    product bit, so only the largest cone differs."""
+    expr = "a * b"
+    if broken:
+        expr = (f"(a * b) ^ ({{{2 * width - 1}'d0, a[{width - 1}] & "
+                f"b[{width - 1}]}} << {2 * width - 1})")
+    return f"""
+module mult (input [{width - 1}:0] a, input [{width - 1}:0] b,
+             output [{2 * width - 1}:0] p);
+  assign p = {expr};
+endmodule
+"""
+
+
+def _ripple_adder_src(width, broken=False):
+    """Loop adder with a majority carry; the broken twin flips the carry
+    into the top sum bit."""
+    flip = f" ^ (i == {width - 1})" if broken else ""
+    return f"""
+module add (input [{width - 1}:0] a, input [{width - 1}:0] b,
+            output reg [{width}:0] sum);
+  reg c;
+  integer i;
+  always @(*) begin
+    c = 0;
+    for (i = 0; i < {width}; i = i + 1) begin
+      sum[i] = a[i] ^ b[i] ^ (c{flip});
+      c = (a[i] & b[i]) | (a[i] & c) | (b[i] & c);
+    end
+    sum[{width}] = c;
+  end
+endmodule
+"""
+
+
+def _plus_adder_src(width):
+    return f"""
+module add (input [{width - 1}:0] a, input [{width - 1}:0] b,
+            output [{width}:0] sum);
+  assign sum = a + b;
+endmodule
+"""
+
+
+_ALU_OPS = ["a + b", "a - b", "(a + b) + 1", "a & b", "a | b", "a ^ b",
+            "(a < b) ? a : b", "b - a"]
+
+
+def _alu_src(width, ops):
+    arms = "\n".join(f"      3'd{i}: y = {expr};"
+                     for i, expr in enumerate(ops[:-1]))
+    return f"""
+module alu (input [{width - 1}:0] a, input [{width - 1}:0] b,
+            input [2:0] op, output reg [{width - 1}:0] y);
+  wire [{width}:0] diff;
+  assign diff = {{1'b0, a}} - {{1'b0, b}};
+  always @(*) begin
+    case (op)
+{arms}
+      default: y = {ops[-1]};
+    endcase
+  end
+endmodule
+"""
+
+
+def _alu_alt_src(width, broken=False):
+    """The same ALU another way: subtraction as ``a + ~b + 1``, the
+    comparison from a widened borrow; the broken twin flips the top bit
+    of the minimum."""
+    ops = ["a + b", "a + ~b + 1", "a + b + 1", "~(~a | ~b)", "~(~a & ~b)",
+           "(a | b) & ~(a & b)", f"diff[{width}] ? a : b", "b + ~a + 1"]
+    if broken:
+        ops[6] = f"({ops[6]}) ^ {width}'d{1 << (width - 1)}"
+    return _alu_src(width, ops)
+
+
+def _decide_corpus():
+    """Miters the simulation check and hashing cannot close, each with a
+    broken twin whose only differing pair is not the first one queried."""
+    corpus = {}
+    for width in (3, 4, 5):
+        before = elaborate(_array_mult_src(width), top="mult")
+        for broken in (False, True):
+            corpus[f"mult_w{width}" + "_broken" * broken] = (
+                before, elaborate(_shift_add_mult_src(width, broken),
+                                  top="mult"))
+    for broken in (False, True):
+        corpus["adder" + "_broken" * broken] = (
+            elaborate(_ripple_adder_src(8, broken), top="add"),
+            elaborate(_plus_adder_src(8), top="add"))
+        corpus["alu" + "_broken" * broken] = (
+            elaborate(_alu_src(4, _ALU_OPS), top="alu"),
+            elaborate(_alu_alt_src(4, broken), top="alu"))
+    return corpus
+
+
+_DECIDE_CORPUS = _decide_corpus()
+
+
+@functools.cache
+def _monolithic_satisfiable(case):
+    """Reference answer: one solve, no assumptions, of the whole miter —
+    every output pair XOR-ed over shared inputs, the XORs OR-ed."""
+    before, after = _DECIDE_CORPUS[case]
+    aig = AIG()
+    leaves = {name: aig.add_input(name)
+              for name in sorted(before.input_names())}
+    roots = []
+    for netlist in (before, after):
+        lit_map = insert_netlist(aig, netlist, {
+            gid: leaves[netlist.gates[gid].name] for gid in netlist.inputs
+        }, {})
+        roots.append({name: lit_map[net] for name, net in netlist.outputs})
+    cnf = CNF()
+    var_map = encode_aig_cone(cnf, aig, [*roots[0].values(),
+                                         *roots[1].values()])
+    disagree = []
+    for name in sorted(roots[0]):
+        b = aig_lit_sat(var_map, roots[0][name])
+        a = aig_lit_sat(var_map, roots[1][name])
+        z = cnf.new_var()
+        cnf.add_clause(-z, b, a)
+        cnf.add_clause(-z, -b, -a)
+        cnf.add_clause(z, -b, a)
+        cnf.add_clause(z, b, -a)
+        disagree.append(z)
+    cnf.add_clause(*disagree)
+    return Solver(cnf.num_vars, cnf.clauses).solve().satisfiable
+
+
+@pytest.mark.parametrize("certify", [False, True], ids=["plain", "certify"])
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("engine", [Solver, ReferenceSolver],
+                         ids=["solver", "reference"])
+@pytest.mark.parametrize("case", sorted(_DECIDE_CORPUS))
+def test_per_pair_decide_matches_monolithic_solve(case, engine, jobs,
+                                                  certify):
+    """The per-pair decide loop gives the verdict of a monolithic solve of
+    the same miter on every engine, serial and partitioned, certified or
+    not; counterexamples replay and certified proofs check."""
+    before, after = _DECIDE_CORPUS[case]
+    broken = case.endswith("_broken")
+    # Broken twins skip the simulation check, so the solver finds the
+    # disagreement after proving the smaller pairs; no sweep, so every
+    # surviving pair of an equivalent miter reaches the loop.
+    options = {"sim_patterns": 0} if broken else {"sweep": False}
+    tracer = Tracer()
+    with use_tracer(tracer):
+        verdict = check_equivalence(before, after, solver_factory=engine,
+                                    jobs=jobs, certify=certify, **options)
+    assert verdict.equivalent == (not _monolithic_satisfiable(case))
+    assert verdict.equivalent == (not broken)
+    solves = [r for r in tracer.spans() if r.name == "cec.solve"]
+    assert solves, "the decide stage never ran"
+    if broken:
+        assert not verdict.refuted_by_simulation
+        cex = verdict.counterexample
+        assert cex is not None and cex.diff
+        assert replay_counterexample(before, after, cex.inputs,
+                                     cex.state) == cex.diff
+        if verdict.partitions == 0:
+            # Serial: the refuting query was not the first one asked.
+            (solve,) = solves
+            assert solve.args["queries"] > 1
+    else:
+        assert verdict.counterexample is None
+        assert sum(r.args["queries"] for r in solves) == \
+            verdict.compared - verdict.hash_proven
+        if certify:
+            assert verdict.proof_checked is True

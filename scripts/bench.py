@@ -49,14 +49,14 @@ top-level span totals (elaborate / optimize / cec / fraig / sim.compile
 seconds as the engines themselves reported them), the combined Chrome
 trace-event timeline lands in ``BENCH_trace.json`` (load it in Perfetto
 or ``chrome://tracing``), and the SAT tier re-runs the ALU FRAIG sweep
-with tracing on vs off and fails if the enabled-tracer overhead exceeds
-5%.  Every CEC tier runs *certified*: the solvers log DRAT proofs that
+with tracing on vs off in alternating back-to-back pairs and fails if the
+median per-pair enabled-tracer overhead exceeds 5%.  Every CEC tier runs *certified*: the solvers log DRAT proofs that
 the independent RUP checker (``repro.netlist.sat.proof``) re-verifies,
 any rejected or missing proof fails the run, the SAT tier re-runs the
-FRAIG sweep with in-memory proof logging on vs off (interleaved,
-best-of-N) and fails if logging costs more than 15%, and a separate
-``alu_fraig_certified`` row re-checks every UNSAT merge proof from the
-sweep.  ``--history FILE`` appends one compact JSONL summary row
+FRAIG sweep with in-memory proof logging on vs off (the median ratio of
+alternating back-to-back pairs, as for the tracer guard) and fails if
+logging costs more than 15%, and a separate ``alu_fraig_certified`` row
+re-checks every UNSAT merge proof from the sweep.  ``--history FILE`` appends one compact JSONL summary row
 (version, git revision, headline numbers) per run; ``--compare``
 additionally warns on >20% direction-aware headline regressions against
 the previous history row.  Compiled results are bit-checked against the
@@ -88,6 +88,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -764,6 +765,29 @@ endmodule
 #: rather than simulation-bound.
 FRAIG_BENCH_PATTERNS = 8
 
+#: Back-to-back pairs behind each overhead guard of the SAT tier.
+OVERHEAD_PAIRS = 21
+
+
+def _paired_overhead(measured, baseline) -> tuple[float, float, float]:
+    """``(measured s, baseline s, overhead)`` over ``OVERHEAD_PAIRS``
+    back-to-back pairs of the two timed callables, alternating which runs
+    first.  The overhead is the median of the per-pair ratios minus one;
+    the two times are each side's median."""
+    pairs = []
+    for index in range(OVERHEAD_PAIRS):
+        if index % 2:
+            base = baseline()
+            meas = measured()
+        else:
+            meas = measured()
+            base = baseline()
+        pairs.append((meas, base))
+    return (statistics.median(m for m, _ in pairs),
+            statistics.median(b for _, b in pairs),
+            statistics.median(m / b for m, b in pairs) - 1.0)
+
+
 #: The pre-pipeline configuration the "old" rows measure: reference
 #: solver, plain Tseitin encoding, no CNF preprocessing, no miter
 #: sweeping, and no simulation refutation check (``sim_patterns=0``
@@ -1028,34 +1052,38 @@ def run_sat_bench(smoke: bool, out_path: str) -> tuple[list[str], dict]:
 
     # -- tracer overhead on the same sweep ----------------------------------
     # Observability must be effectively free.  Re-run the new-solver sweep
-    # with a live tracer and with tracing disabled — interleaved so machine
-    # load drift hits both sides equally, best-of-N each (min is the
-    # standard jitter filter) — and fail if enabling the tracer costs more
-    # than 5%.
+    # with a live tracer and with tracing disabled, back to back in pairs
+    # whose order alternates, and fail if the median of the per-pair
+    # ratios says enabling the tracer costs more than 5%.  A pair's two
+    # runs see the same host load, so its ratio cancels the drift that
+    # swings single sweep times by tens of percent on a shared host; the
+    # median over many pairs then ignores the pairs a burst split.
     def _sweep_once() -> float:
         start = time.perf_counter()
         fraig_sweep(alu_aig, patterns=FRAIG_BENCH_PATTERNS,
                     stats=FraigStats())
         return time.perf_counter() - start
 
-    reps = 5
-    traced_s = plain_s = float("inf")
-    for _ in range(reps):
+    def _traced_once() -> float:
         with use_tracer(Tracer()):
-            traced_s = min(traced_s, _sweep_once())
+            return _sweep_once()
+
+    def _untraced_once() -> float:
         with use_tracer(NULL_TRACER):
-            plain_s = min(plain_s, _sweep_once())
-    overhead = traced_s / plain_s - 1.0 if plain_s else 0.0
+            return _sweep_once()
+
+    traced_s, plain_s, overhead = _paired_overhead(_traced_once,
+                                                   _untraced_once)
     row["tracer_overhead"] = {
         "traced_seconds": traced_s,
         "untraced_seconds": plain_s,
         "overhead": overhead,
-        "repeats": reps,
+        "pairs": OVERHEAD_PAIRS,
     }
     print(
         f"sat alu_fraig       W={fraig_w:<3} "
         f"tracer {plain_s * 1e3:8.1f} -> {traced_s * 1e3:<8.1f} ms "
-        f"({overhead:+.1%} overhead, best of {reps})"
+        f"({overhead:+.1%} overhead, median of {OVERHEAD_PAIRS} pairs)"
     )
     if overhead > 0.05:
         tier.fail(
@@ -1066,11 +1094,11 @@ def run_sat_bench(smoke: bool, out_path: str) -> tuple[list[str], dict]:
     # -- proof-logging overhead on the same sweep ---------------------------
     # Emitting DRAT while searching must stay cheap.  Re-run the sweep
     # with every solver streaming to an in-memory ProofLog vs not logging
-    # at all — interleaved, best-of-N, tracing off — and fail if logging
-    # costs more than 15%.  (With logging *disabled* the solver's only
-    # extra work is one ``is not None`` test per conflict; any measurable
-    # cost there would already trip the 5% tracer guard above, whose
-    # baseline runs with proof logging off.)
+    # at all — in alternating pairs as above, tracing off — and fail if
+    # logging costs more than 15%.  (With logging *disabled* the solver's
+    # only extra work is one ``is not None`` test per conflict; any
+    # measurable cost there would already trip the 5% tracer guard above,
+    # whose baseline runs with proof logging off.)
     def _proof_solver(num_vars=0, clauses=()) -> Solver:
         solver = Solver(num_vars, clauses)
         solver.set_proof(ProofLog())
@@ -1082,22 +1110,20 @@ def run_sat_bench(smoke: bool, out_path: str) -> tuple[list[str], dict]:
                     stats=FraigStats(), solver_factory=_proof_solver)
         return time.perf_counter() - start
 
-    logged_s = unlogged_s = float("inf")
     with use_tracer(NULL_TRACER):
-        for _ in range(reps):
-            logged_s = min(logged_s, _sweep_logged())
-            unlogged_s = min(unlogged_s, _sweep_once())
-    proof_overhead = logged_s / unlogged_s - 1.0 if unlogged_s else 0.0
+        logged_s, unlogged_s, proof_overhead = _paired_overhead(
+            _sweep_logged, _sweep_once)
     row["proof_overhead"] = {
         "logged_seconds": logged_s,
         "unlogged_seconds": unlogged_s,
         "overhead": proof_overhead,
-        "repeats": reps,
+        "pairs": OVERHEAD_PAIRS,
     }
     print(
         f"sat alu_fraig       W={fraig_w:<3} "
         f"proof log {unlogged_s * 1e3:8.1f} -> {logged_s * 1e3:<8.1f} ms "
-        f"({proof_overhead:+.1%} overhead, best of {reps})"
+        f"({proof_overhead:+.1%} overhead, median of {OVERHEAD_PAIRS} "
+        f"pairs)"
     )
     if proof_overhead > 0.15:
         tier.fail(

@@ -6,7 +6,8 @@ This is the shared truth-table kernel behind DAG-aware rewriting
 
 * :func:`enumerate_cuts` computes, bottom-up, the k-feasible cuts of every
   node in a cone — each cut a set of *leaf* nodes such that every path from
-  the node to the primary inputs passes through a leaf.
+  the node to the primary inputs passes through a leaf.  Cuts are merged
+  as exact leaf bitmasks and spelled out as leaf tuples once kept.
 * :func:`enumerate_cut_truths` does the same at ``k=4`` and also returns
   each cut's truth table, composed from its fanin cuts' tables while the
   cut is merged (the rewriter's path: no cone is re-simulated).
@@ -96,23 +97,24 @@ def _enumerate(aig: AIG, k: int, limit: int, nodes: Optional[Sequence[int]],
                truths: Optional[dict[int, list[int]]]
                ) -> dict[int, list[tuple[int, ...]]]:
     """Shared body of :func:`enumerate_cuts` and
-    :func:`enumerate_cut_truths` (which passes ``truths`` to fill)."""
+    :func:`enumerate_cut_truths` (which passes ``truths`` to fill).
+
+    Cuts are merged as exact leaf bitmasks (bit ``n`` set for leaf node
+    ``n``): a union is one ``|``, its size one ``bit_count``, and a kept
+    cut ``p`` dominates a candidate ``u`` when ``p | u == u``.  Only the
+    cuts that survive are spelled out as leaf tuples.
+    """
     if nodes is None:
         nodes = sorted(aig.cone(aig.and_roots()))
     kinds = aig._kind
     fanin0 = aig._fanin0
     fanin1 = aig._fanin1
     cuts: dict[int, list[tuple[int, ...]]] = {}
-    # Per-cut signatures: one bit per leaf id mod 64.  A union's
-    # signature is the OR of its halves', and its popcount never exceeds
-    # the true leaf count, so ``popcount > k`` rejects a merge exactly
-    # before any tuple is built; likewise a kept cut whose signature has
-    # a bit outside a candidate's cannot dominate it.
-    sigs: dict[int, list[int]] = {}
+    masks: dict[int, list[int]] = {}
     for nid in nodes:
         if kinds[nid] != _AND:
             cuts[nid] = [(nid,)]
-            sigs[nid] = [1 << (nid & 63)]
+            masks[nid] = [1 << nid]
             if truths is not None:
                 truths[nid] = [_VAR0]
             continue
@@ -122,50 +124,39 @@ def _enumerate(aig: AIG, k: int, limit: int, nodes: Optional[Sequence[int]],
         n1 = f1 >> 1
         c0 = cuts.get(n0) or [(n0,)]
         c1 = cuts.get(n1) or [(n1,)]
-        s0 = sigs.get(n0) or [1 << (n0 & 63)]
-        s1 = sigs.get(n1) or [1 << (n1 & 63)]
+        m0 = masks.get(n0) or [1 << n0]
+        m1 = masks.get(n1) or [1 << n1]
         # Pairwise unions of at most k leaves, bucketed by size so the
         # concatenation is the stable smallest-first order; each entry
         # remembers the fanin cuts it came from.
-        by_size: list[list[tuple]] = [[] for _ in range(k + 1)]
-        seen: set[tuple[int, ...]] = set()
-        for i, a in enumerate(c0):
-            sa = s0[i]
-            for j, sb in enumerate(s1):
-                sig = sa | sb
-                if sig.bit_count() > k:
-                    continue
-                uset = set(a)
-                uset.update(c1[j])
-                size = len(uset)
-                if size > k:
-                    continue
-                union = tuple(sorted(uset))
-                if union in seen:
+        by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(k + 1)]
+        seen: set[int] = set()
+        for i, a in enumerate(m0):
+            for j, b in enumerate(m1):
+                union = a | b
+                size = union.bit_count()
+                if size > k or union in seen:
                     continue
                 seen.add(union)
-                by_size[size].append((union, uset, sig, i, j))
+                by_size[size].append((union, i, j))
         kept: list[tuple[int, ...]] = [(nid,)]
-        kept_sigs: list[int] = [1 << (nid & 63)]
+        kept_masks: list[int] = []
         origins: list[tuple[int, int]] = []
-        kept_sets: list[tuple[int, set]] = []
         for bucket in by_size:
-            for union, uset, sig, i, j in bucket:
-                outside = ~sig
-                for psig, prev in kept_sets:
-                    if not psig & outside and prev <= uset:
+            for union, i, j in bucket:
+                for prev in kept_masks:
+                    if prev | union == union:
                         break
                 else:
-                    kept.append(union)
-                    kept_sigs.append(sig)
-                    kept_sets.append((sig, uset))
+                    kept.append(tuple(sorted({*c0[i], *c1[j]})))
+                    kept_masks.append(union)
                     origins.append((i, j))
                     if len(origins) >= limit:
                         break
             else:
                 continue
             break
-        sigs[nid] = kept_sigs
+        masks[nid] = [1 << nid, *kept_masks]
         cuts[nid] = kept
         if truths is not None:
             t0 = truths.get(n0) or [_VAR0]

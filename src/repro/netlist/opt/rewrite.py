@@ -8,8 +8,9 @@ instantiating the precomputed size-optimal structure for the function's
 NPN class would beat rebuilding the node as-is:
 
 * *saved* is the size of the node's maximal fanout-free cone w.r.t. the
-  cut — the nodes that die with it, measured by the standard
-  dereference/re-reference walk over live fanout counts;
+  cut — the nodes that die with it, counted by one walk over live fanout
+  counts that leaves them untouched (the mutating dereference walk runs
+  only when a replacement commits);
 * *cost* is the number of genuinely new AND nodes the replacement would
   insert, probed against the output graph's unique table *without*
   inserting anything — logic already built (by earlier replacements, by
@@ -17,6 +18,17 @@ NPN class would beat rebuilding the node as-is:
   DAG-aware rather than tree-local.  Each probe gets the budget
   ``saved - max(baseline gain, best gain so far)`` and stops once its
   cost exceeds it: such a candidate could not be accepted anyway.
+
+Probing is the pass's main cost, so each node answers its repeated
+probes once.  Transforms and cuts often instantiate the same class
+structure over the same literals once the inputs the structure never
+reads are ignored; a per-node memo keyed on (class, root literal, read
+input literals) answers those from a completed probe (any budget) or a
+pruned one (any budget up to the one it was pruned under).  The cut made
+of the node's own two fanins only rebuilds the AND itself, which ties the
+baseline at best, so its probe is skipped unless ``zero_cost`` commits
+ties.  Each truth table's NPN class, structure and transforms are decoded
+once into a plan shared by every cut with that table.
 
 On top of the structural probe, every sweep keeps a *functional
 cut-sweep table*: each committed node registers, for every cut evaluated
@@ -39,7 +51,8 @@ pipeline ahead of ``fraig``, so SAT sweeping sees the smaller graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from ...obs import get_tracer
 from ..aig import _AND, AIG, from_netlist, to_netlist
@@ -62,6 +75,12 @@ class RewriteStats:
     replacements: int = 0
     zero_gain_depth: int = 0
     nodes_saved: int = 0
+    #: Probe work, kept out of :meth:`to_dict`: how many structures were
+    #: dry-run, how many probes the per-node memo answered, and how many
+    #: fanin-cut probes were skipped.  They measure effort, not result.
+    probes: int = 0
+    probe_memo_hits: int = 0
+    fanin_probes_skipped: int = 0
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -83,7 +102,7 @@ def _live_ands(aig: AIG) -> list[int]:
 
 
 def _deref_cone(aig: AIG, refs: dict[int, int], nid: int,
-                leaves: set[int], stop: set[int]) -> int:
+                leaves: tuple[int, ...], stop: set[int]) -> int:
     """Release ``nid``'s fanin references; returns the MFFC size.
 
     The recursive edge walk of Abc_NodeDeref: an AND fanin whose count
@@ -101,16 +120,29 @@ def _deref_cone(aig: AIG, refs: dict[int, int], nid: int,
     return size
 
 
-def _ref_cone(aig: AIG, refs: dict[int, int], nid: int,
-              leaves: set[int], stop: set[int]) -> int:
-    """Undo :func:`_deref_cone` (reference counts restored exactly)."""
+def _mffc_size(aig: AIG, refs: dict[int, int], nid: int,
+               leaves: tuple[int, ...], stop: set[int]) -> int:
+    """The size :func:`_deref_cone` would return, without touching ``refs``.
+
+    A node dies with the cone once as many of its references come from
+    the dying nodes as it has live ones, so counting the references each
+    node receives from the walk finds the same set in any visiting order.
+    """
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    kinds = aig._kind
+    taken: dict[int, int] = {}
+    stack = [nid]
     size = 1
-    for fl in (aig._fanin0[nid], aig._fanin1[nid]):
-        fn = fl >> 1
-        if refs[fn] == 0 and aig._kind[fn] == _AND \
-                and fn not in leaves and fn not in stop:
-            size += _ref_cone(aig, refs, fn, leaves, stop)
-        refs[fn] += 1
+    while stack:
+        node = stack.pop()
+        for fn in (fanin0[node] >> 1, fanin1[node] >> 1):
+            count = taken.get(fn, 0) + 1
+            taken[fn] = count
+            if count == refs[fn] and kinds[fn] == _AND \
+                    and fn not in leaves and fn not in stop:
+                size += 1
+                stack.append(fn)
     return size
 
 
@@ -200,6 +232,40 @@ def _build_structure(new: AIG, levels: dict[int, int], root: int,
     return vals[root >> 1] ^ (root & 1)
 
 
+#: Decoded rewrite plan per cut truth table, filled lazily:
+#: ``(canon, nodes, pick, transforms)`` — the function's NPN class, the
+#: class's library structure, a picker of the formal inputs the structure
+#: reads, and one ``(p0, p1, p2, p3, n0, n1, n2, n3, out, root)`` row per
+#: cached transform (formal input ``i`` is fed cut leaf ``p_i``
+#: complemented by ``n_i``; ``root`` is the library root complemented by
+#: ``out``).  A plan is a pure function of its table, like the NPN caches
+#: of :mod:`repro.netlist.opt.cut`, so every caller may share it.
+_PLANS: dict[int, tuple] = {}
+
+
+def _plan(tt: int) -> tuple:
+    """Decode (once per truth table) what :func:`_sweep` needs of ``tt``."""
+    canon = npn_canon(tt)[0]
+    lib_root, nodes = NPN4_LIBRARY[canon]
+    read = {lib_root >> 1}
+    read.update(lit >> 1 for pair in nodes for lit in pair)
+    used = [i for i in range(4) if i + 1 in read]
+    pick = itemgetter(*used) if used else (lambda inputs: ())
+    transforms = tuple(
+        (*perm, neg & 1, (neg >> 1) & 1, (neg >> 2) & 1, (neg >> 3) & 1,
+         out, lib_root ^ out)
+        for perm, neg, out in npn_transforms(tt))
+    plan = _PLANS[tt] = (canon, nodes, pick, transforms)
+    return plan
+
+
+def _probe_key(canon: int, root: int, inputs: tuple,
+               pick: Callable[[tuple], object]) -> tuple:
+    """Memo key of a probe: the class, the root literal and the literals
+    of the inputs the structure reads (the others cannot change it)."""
+    return canon, root, pick(inputs)
+
+
 def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
            zero_cost: bool = False) -> AIG:
     """One topological rewrite-and-rebuild sweep; returns the new AIG
@@ -208,15 +274,18 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
     refs: dict[int, int] = {nid: 0 for nid in live}
     refs[0] = 0
     kinds = aig._kind
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
     for nid in live:
         if kinds[nid] == _AND:
-            refs[aig._fanin0[nid] >> 1] += 1
-            refs[aig._fanin1[nid] >> 1] += 1
+            refs[fanin0[nid] >> 1] += 1
+            refs[fanin1[nid] >> 1] += 1
     for lit in aig.and_roots():
         refs[lit >> 1] += 1
 
     cuts, truths = enumerate_cut_truths(aig, cut_limit, live)
     new = AIG(aig.name)
+    table = new._table
     levels: dict[int, int] = {0: 0}
     lit_map: dict[int, int] = {0: 0}
     for nid in aig.inputs:
@@ -228,6 +297,12 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
         lit_map[nid] = lit
         levels[lit >> 1] = 0
 
+    # The probe helpers are looked up once per sweep, through the module
+    # namespace, so a replaced helper is seen by every later sweep.
+    probe_structure = _probe_structure
+    probe_key = _probe_key
+    plans = _PLANS
+    cuts_evaluated = probes = memo_hits = fanin_skips = 0
     replaced: set[int] = set()
     # Functional cut-sweep table: (NPN canon, concrete literals feeding
     # the canonical inputs) -> committed literal computing the canonical
@@ -238,81 +313,132 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
     for nid in live:
         if kinds[nid] != _AND:
             continue
-        f0 = aig._fanin0[nid]
-        f1 = aig._fanin1[nid]
+        f0 = fanin0[nid]
+        f1 = fanin1[nid]
         m0 = lit_map[f0 >> 1] ^ (f0 & 1)
         m1 = lit_map[f1 >> 1] ^ (f1 & 1)
-        # Baseline: rebuild the node as-is.  Probing it through a
-        # one-node pseudo-structure reuses the exact fold mirror.
-        d_cost, d_level, d_lit = _probe_structure(
-            new, levels, 10, ((2, 4),), [0, m0, m1, 0, 0])
-        d_gain = 1 - d_cost
+        # Baseline: rebuild the node as-is — aig_and's folding, mirrored
+        # without inserting anything.
+        if m0 == m1:
+            d_lit = m0
+        elif m0 == (m1 ^ 1) or m0 == 0 or m1 == 0:
+            d_lit = 0
+        elif m0 == 1:
+            d_lit = m1
+        elif m1 == 1:
+            d_lit = m0
+        else:
+            d_lit = table.get((m0, m1) if m0 < m1 else (m1, m0))
+        if d_lit is None:
+            d_gain = 0
+            la = levels.get(m0 >> 1, 0)
+            lb = levels.get(m1 >> 1, 0)
+            d_level = 1 + (la if la >= lb else lb)
+        else:
+            d_gain = 1
+            d_level = levels.get(d_lit >> 1, 0)
+        # The cut made of the node's own fanins carries the AND itself,
+        # whose probe can only tie the baseline: without zero-cost
+        # commits a tie is never taken, so that probe is skipped.
+        n0 = f0 >> 1
+        n1 = f1 >> 1
+        fanin_cut = None if zero_cost else \
+            ((n0, n1) if n0 < n1 else (n1, n0))
+        # Per-node probe memo (the output graph does not change until
+        # the node commits): key -> (cost, level, real) of a completed
+        # probe, which answers any budget, and key -> the largest budget
+        # a probe was pruned under, which answers every budget up to it.
+        done: dict[tuple, tuple[int, int, Optional[int]]] = {}
+        pruned: dict[tuple, int] = {}
 
         best = None
         best_gain = d_gain
-        cut_keys: list[tuple[int, tuple[int, int, int, int], int]] = []
-        for cut, tt4 in zip(cuts[nid][1:], truths[nid][1:]):
+        cut_keys: list[tuple[tuple[int, tuple[int, int, int, int]], int]] = []
+        node_cuts = cuts[nid]
+        node_truths = truths[nid]
+        for index in range(1, len(node_cuts)):
+            cut = node_cuts[index]
             if len(cut) < 2:
                 continue
-            stats.cuts_evaluated += 1
-            leaves = set(cut)
-            saved = _deref_cone(aig, refs, nid, leaves, replaced)
-            _ref_cone(aig, refs, nid, leaves, replaced)
-            canon = npn_canon(tt4)[0]
-            lib_root, lib_nodes = NPN4_LIBRARY[canon]
+            cuts_evaluated += 1
+            saved = _mffc_size(aig, refs, nid, cut, replaced)
+            tt = node_truths[index]
+            plan = plans.get(tt)
+            if plan is None:
+                plan = _plan(tt)
+            canon, lib_nodes, pick, transforms = plan
             leaf_lits = [lit_map[leaf] for leaf in cut]
             leaf_lits += [0] * (4 - len(leaf_lits))
+            skip_probe = cut == fanin_cut
             # Every cached transform instantiates the class structure
             # differently over the same leaves; each is probed for
             # sharing with logic the rebuild has already committed, and
             # each yields a functional key for the cut-sweep table.
-            for perm, neg, out in npn_transforms(tt4):
-                inputs = (leaf_lits[perm[0]] ^ (neg & 1),
-                          leaf_lits[perm[1]] ^ ((neg >> 1) & 1),
-                          leaf_lits[perm[2]] ^ ((neg >> 2) & 1),
-                          leaf_lits[perm[3]] ^ ((neg >> 3) & 1))
-                cut_keys.append((canon, inputs, out))
-                hit = func_map.get((canon, inputs))
+            for p0, p1, p2, p3, g0, g1, g2, g3, out, root in transforms:
+                inputs = (leaf_lits[p0] ^ g0, leaf_lits[p1] ^ g1,
+                          leaf_lits[p2] ^ g2, leaf_lits[p3] ^ g3)
+                func_key = (canon, inputs)
+                cut_keys.append((func_key, out))
+                hit = func_map.get(func_key)
                 if hit is not None:
                     # A committed cone already computes this function of
                     # these exact literals: merge for free, the whole
                     # MFFC is the gain.
                     gain = saved
                     level = levels.get(hit >> 1, 0)
-                    cand = (gain, level, cut, 0, (), [0], hit ^ out)
+                    real = hit ^ out
                 else:
+                    if skip_probe:
+                        fanin_skips += 1
+                        continue
                     # A structure costing more than the budget could
                     # beat neither the baseline nor the best candidate.
-                    root = lib_root ^ out
-                    slots = [0, *inputs]
-                    probe = _probe_structure(new, levels, root, lib_nodes,
-                                             slots, saved - best_gain)
-                    if probe is None:
+                    budget = saved - best_gain
+                    if budget < 0:
                         continue
+                    key = probe_key(canon, root, inputs, pick)
+                    probe = done.get(key)
+                    if probe is not None:
+                        memo_hits += 1
+                        if probe[0] > budget:
+                            continue
+                    else:
+                        limit = pruned.get(key)
+                        if limit is not None and budget <= limit:
+                            memo_hits += 1
+                            continue
+                        probes += 1
+                        probe = probe_structure(new, levels, root, lib_nodes,
+                                                [0, *inputs], budget)
+                        if probe is None:
+                            pruned[key] = budget
+                            continue
+                        done[key] = probe
                     cost, level, real = probe
                     gain = saved - cost
-                    cand = (gain, level, cut, root, lib_nodes, slots, real)
                 if gain < d_gain or (gain == d_gain and level > d_level) or \
                         (gain == d_gain and level == d_level
                          and not zero_cost):
                     continue
                 if best is None or gain > best[0] or \
                         (gain == best[0] and level < best[1]):
-                    best = cand
+                    best = (gain, level, cut, root, lib_nodes, inputs,
+                            real)
                     best_gain = gain
 
         if best is None:
-            lit_map[nid] = _build_structure(new, levels, 10, ((2, 4),),
-                                            [0, m0, m1, 0, 0])
+            if d_lit is None:
+                d_lit = new.aig_and(m0, m1)
+                levels[d_lit >> 1] = d_level
+            lit_map[nid] = d_lit
         else:
-            gain, level, cut, root, nodes, slots, real = best
+            gain, level, cut, root, nodes, inputs, real = best
             stats.replacements += 1
             if gain > d_gain:
                 stats.nodes_saved += gain - d_gain
             else:
                 stats.zero_gain_depth += 1
-            leaves = set(cut)
-            _deref_cone(aig, refs, nid, leaves, replaced)
+            _deref_cone(aig, refs, nid, cut, replaced)
             for leaf in cut:
                 refs[leaf] += 1
             replaced.add(nid)
@@ -320,13 +446,21 @@ def _sweep(aig: AIG, cut_limit: int, stats: RewriteStats,
                 lit_map[nid] = real
             else:
                 lit_map[nid] = _build_structure(new, levels, root, nodes,
-                                                slots)
+                                                [0, *inputs])
         # Register every evaluated cut's function of the final literal in
         # the sweep table so later nodes can merge into this cone.
         final = lit_map[nid]
-        for canon, inputs, out in cut_keys:
-            func_map.setdefault((canon, inputs), final ^ out)
+        for func_key, out in cut_keys:
+            func_map.setdefault(func_key, final ^ out)
 
+    stats.cuts_evaluated += cuts_evaluated
+    work = {"probes": probes, "probe_memo_hits": memo_hits,
+            "fanin_probes_skipped": fanin_skips}
+    for name, value in work.items():
+        setattr(stats, name, getattr(stats, name) + value)
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.metrics.absorb("rewrite", work)
     for name, lit in aig.outputs:
         new.add_output(name, lit_map[lit >> 1] ^ (lit & 1))
     for qnid in aig.latches:
@@ -367,10 +501,14 @@ def rewrite_aig(aig: AIG, cut_limit: int = 8, max_sweeps: int = 8,
     Each sweep rebuilds the live cone once (see :func:`_sweep`); sweeps
     repeat while the live AND count strictly improves, up to
     ``max_sweeps``.  Purely structural — no SAT calls — but still the
-    most expensive stock pass by far: every AND probes up to
-    ``cut_limit`` cuts times several NPN transforms, so on the flow
-    designs it takes most of :func:`repro.netlist.opt.optimize` while
-    strashing takes a few percent.  ``zero_cost=True``
+    most expensive stock pass: on the flow designs it takes most of
+    :func:`repro.netlist.opt.optimize`.  Within a node, probes that
+    repeat an earlier one are answered from a memo, and the fanin-cut
+    probe, which can only tie the baseline, is skipped; the ``rewrite``
+    span and the ``rewrite.probes`` / ``rewrite.probe_memo_hits`` /
+    ``rewrite.fanin_probes_skipped`` tracer counters report that work
+    (it is kept on ``stats`` but out of :meth:`RewriteStats.to_dict`,
+    since it measures effort, not the result).  ``zero_cost=True``
     additionally commits replacements that change neither size nor
     level, diversifying structure (useful ahead of mapping) at the cost
     of extra churn per sweep.
@@ -381,7 +519,9 @@ def rewrite_aig(aig: AIG, cut_limit: int = 8, max_sweeps: int = 8,
     stats.ands_before = len(_live_ands(aig))
     current = aig
     count = stats.ands_before
-    with tracer.span("rewrite", ands_before=count):
+    work = ("probes", "probe_memo_hits", "fanin_probes_skipped")
+    before = {name: getattr(stats, name) for name in work}
+    with tracer.span("rewrite", ands_before=count) as span:
         for _ in range(max_sweeps):
             stats.sweeps += 1
             with tracer.span("rewrite.sweep"):
@@ -393,6 +533,8 @@ def rewrite_aig(aig: AIG, cut_limit: int = 8, max_sweeps: int = 8,
                     current = swept
                 break
             current, count = swept, new_count
+        span.set(**{name: getattr(stats, name) - before[name]
+                    for name in work})
     stats.ands_after = count
     return current
 

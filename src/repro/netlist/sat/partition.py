@@ -24,9 +24,9 @@ module shards proof work across a :mod:`multiprocessing` pool for
   siblings** (a counterexample for any pair refutes the whole miter, so
   finishing the other shards would be wasted work).  All-UNSAT shards
   merge into one :class:`~repro.netlist.sat.cec.Decision` with
-  accumulated solver statistics and summed proof counters, and the
-  workers' per-pair conflict counts join the parent's
-  ``cec.pair_conflicts`` histogram;
+  accumulated solver statistics and summed proof counters, and each
+  worker's metrics registry (``preprocess.*`` counters, the
+  ``cec.pair_conflicts`` histogram, ...) merges into the parent's;
 * :func:`sweep_partition` / :func:`solve_sweep_parallel` answer FRAIG
   merge candidates the same way, with no early cancellation.
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence
 
-from ...obs import Histogram, Tracer, get_tracer, use_tracer
+from ...obs import MetricsRegistry, Tracer, get_tracer, use_tracer
 from ..aig import AIG, _AND, _LATCH, _PI
 from ..sim import aig_signatures
 from .cec import Decision, decide
@@ -136,15 +136,15 @@ def make_payload(aig: AIG, pairs: Sequence[tuple[int, int]],
 
 
 def solve_partition(payload: tuple
-                    ) -> tuple[Decision, list, Optional[Histogram]]:
+                    ) -> tuple[Decision, list, Optional[MetricsRegistry]]:
     """Worker entry point: decide one shard of the miter.
 
     Module-level (and all-picklable in and out) so it crosses the
     :mod:`multiprocessing` boundary.  Rebuilds the shard's simulation
     signatures from the named stimulus words and runs
     :func:`~repro.netlist.sat.cec.decide` on it.  Returns the decision
-    and, when tracing, the worker's recorded spans and its
-    ``cec.pair_conflicts`` histogram (else ``[]`` and None).
+    and, when tracing, the worker's recorded spans and its whole metrics
+    registry (else ``[]`` and None).
     """
     (sub, pairs, input_lits, latch_lits, options, words, num_patterns,
      trace) = payload
@@ -169,8 +169,7 @@ def solve_partition(payload: tuple
                      conflicts=decision.stats.conflicts)
     if not trace:
         return decision, [], None
-    return (decision, tracer.records,
-            tracer.metrics.histogram("cec.pair_conflicts"))
+    return decision, tracer.records, tracer.metrics
 
 
 def _merge(decisions: list[Decision], partitions: int) -> Decision:
@@ -216,7 +215,8 @@ def solve_pairs_parallel(aig: AIG, pairs: Sequence[tuple[int, int]],
     pool (its siblings' UNSAT answers cannot change the verdict).  With a
     single shard the solve runs in-process — no pool, no pickling.
     Recorded worker spans are stitched into the ambient tracer under
-    synthetic worker thread ids.
+    synthetic worker thread ids, and worker metrics merge into its
+    registry.
     """
     import multiprocessing
 
@@ -228,7 +228,7 @@ def solve_pairs_parallel(aig: AIG, pairs: Sequence[tuple[int, int]],
                      bool(tracer.enabled))
         for group in groups
     ]
-    replies: list[tuple[Decision, list, Optional[Histogram]]] = []
+    replies: list[tuple[Decision, list, Optional[MetricsRegistry]]] = []
     if len(payloads) == 1:
         replies.append(solve_partition(payloads[0]))
     else:
@@ -241,10 +241,9 @@ def solve_pairs_parallel(aig: AIG, pairs: Sequence[tuple[int, int]],
                     break
     adopt = getattr(tracer, "adopt", None)
     if tracer.enabled and adopt is not None:
-        pair_conflicts = tracer.metrics.histogram("cec.pair_conflicts")
-        for worker, (_, spans, conflicts) in enumerate(replies):
+        for worker, (_, spans, metrics) in enumerate(replies):
             adopt(spans, tid=10_000_000 + worker)
-            pair_conflicts.merge(conflicts)
+            tracer.metrics.merge(metrics)
     return _merge([decision for decision, _, _ in replies], len(groups))
 
 

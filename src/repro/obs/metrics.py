@@ -164,6 +164,28 @@ class MetricsRegistry:
             else:
                 self.counter(name).inc(value)
 
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold in a registry filled elsewhere (a worker process ships its
+        whole registry back): counters add, gauges take ``other``'s
+        value, histograms observe ``other``'s samples."""
+        for name, metric in other._metrics.items():
+            mine = self._get(name, type(metric))
+            if isinstance(metric, Counter):
+                mine.inc(metric.value)
+            elif isinstance(metric, Gauge):
+                mine.set(metric.value)
+            else:
+                mine.merge(metric)
+
+    def __getstate__(self) -> dict:
+        # The lock does not cross a process boundary; metrics do.
+        with self._lock:
+            return {"metrics": dict(self._metrics)}
+
+    def __setstate__(self, state: dict) -> None:
+        self._metrics = state["metrics"]
+        self._lock = threading.Lock()
+
     def to_dict(self) -> dict:
         """All metrics, sorted by name, each as its ``to_dict()`` record."""
         with self._lock:

@@ -260,6 +260,29 @@ def test_metrics_absorb():
     assert snap["cec.solver.mean_lbd"]["value"] == 3.0
 
 
+def test_metrics_merge_survives_pickling():
+    import pickle
+
+    worker = MetricsRegistry()
+    worker.counter("preprocess.eliminated_vars").inc(4)
+    worker.gauge("preprocess.seconds").set(0.5)
+    worker.histogram("cec.pair_conflicts").observe(7)
+    parent = MetricsRegistry()
+    parent.counter("preprocess.eliminated_vars").inc(1)
+    parent.histogram("cec.pair_conflicts").observe(2)
+    parent.merge(pickle.loads(pickle.dumps(worker)))
+    snap = parent.to_dict()
+    assert snap["preprocess.eliminated_vars"]["value"] == 5
+    assert snap["preprocess.seconds"]["value"] == 0.5
+    assert snap["cec.pair_conflicts"]["count"] == 2
+    assert snap["cec.pair_conflicts"]["sum"] == 9
+    parent.counter("after.merge").inc()   # the lock was rebuilt
+    with pytest.raises(TypeError):
+        bad = MetricsRegistry()
+        bad.gauge("cec.pair_conflicts")
+        parent.merge(bad)
+
+
 def test_histogram_percentiles():
     registry = MetricsRegistry()
     hist = registry.histogram("latency")
@@ -635,6 +658,28 @@ def test_cec_solve_counts_pair_queries_and_their_conflicts(after_src, jobs):
         assert verdict.solver_stats.conflicts > 0
     else:
         assert 1 <= queries <= pairs
+
+
+def test_partitioned_cec_ships_worker_metrics():
+    """A ``jobs=2`` check reports the same metrics as ``jobs=1``: each
+    partition worker's registry (``preprocess.*`` counters and the rest)
+    travels back and merges into the parent's."""
+    before = elaborate(MULT_A, top="mult")
+    after = elaborate(MULT_B, top="mult")
+    registries = {}
+    for jobs in (1, 2):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            verdict = check_equivalence(before, after, sim_patterns=0,
+                                        sweep=False, jobs=jobs)
+        assert verdict.equivalent
+        assert verdict.partitions == (2 if jobs == 2 else 0)
+        registries[jobs] = tracer.metrics.to_dict()
+    assert "preprocess.eliminated_vars" in registries[1]
+    assert set(registries[2]) == set(registries[1])
+    for name, record in registries[1].items():
+        assert registries[2][name]["type"] == record["type"], name
+    assert registries[2]["preprocess.eliminated_vars"]["value"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,31 @@
 """``optimize`` reuses work without changing its result.
 
-Three shortcuts sit on the rewrite path and each must be exact:
+Several shortcuts sit on the rewrite path and each must be exact:
 
 * :class:`PassManager` memoizes pass runs on the input's content hash,
   so an input a pass has already transformed is not transformed again;
 * :func:`enumerate_cut_truths` composes every cut's truth table while
   merging cuts, replacing a per-cut cone simulation (:func:`cut_truth`);
+* cut enumeration merges cuts as leaf bitmasks instead of leaf tuples;
 * the rewrite probe takes a cost budget and gives up once a candidate
-  could no longer be accepted.
+  could no longer be accepted;
+* the rewrite sweep answers a node's repeated probes from a per-node
+  memo.
 
 Each is checked against its plain counterpart on the benchmark designs of
-``scripts/bench.py`` plus a hierarchical design with several instances.
+``scripts/bench.py`` plus a hierarchical design with several instances,
+and the cut and memo shortcuts also on seeded random AIGs.
 """
 
 import importlib.util
 import os
 import pickle
+import random
 
 import pytest
 
 from repro.netlist import elaborate, from_netlist
+from repro.netlist.aig import AIG
 from repro.netlist.logic import Netlist
 from repro.netlist.opt import (
     DEFAULT_PIPELINE,
@@ -31,7 +37,7 @@ from repro.netlist.opt import (
 from repro.netlist.opt import rewrite as rewrite_mod
 from repro.netlist.opt.cut import _pad_to_4, enumerate_cut_truths
 from repro.netlist.opt.passes import Pass
-from repro.obs import Tracer, set_tracer
+from repro.obs import Tracer, set_tracer, use_tracer
 
 _BENCH = os.path.join(os.path.dirname(__file__), os.pardir,
                       "scripts", "bench.py")
@@ -111,6 +117,94 @@ def test_composed_truths_equal_cut_truth(netlist):
         assert checked > len(cuts)
 
 
+def _random_aig(seed, inputs=7, steps=90):
+    """A seeded random combinational AIG with reconvergent AND/XOR/MUX
+    structure (operands drawn mostly from recent nodes)."""
+    rng = random.Random(seed)
+    aig = AIG(f"rand{seed}")
+    lits = [aig.add_input(f"i{n}") for n in range(inputs)]
+
+    def pick():
+        lit = lits[-1 - min(int(rng.expovariate(0.15)), len(lits) - 1)]
+        return lit ^ rng.randrange(2)
+
+    for _ in range(steps):
+        op = rng.random()
+        if op < 0.6:
+            lit = aig.aig_and(pick(), pick())
+        elif op < 0.8:
+            lit = aig.aig_xor(pick(), pick())
+        else:
+            lit = aig.aig_mux(pick(), pick(), pick())
+        if lit > 1:
+            lits.append(lit)
+    for n, lit in enumerate(lits[-6:]):
+        aig.add_output(f"o{n}", lit)
+    return aig
+
+
+RANDOM_SEEDS = range(8)
+
+
+@pytest.fixture(params=RANDOM_SEEDS, ids=[f"rand{s}" for s in RANDOM_SEEDS])
+def random_aig(request):
+    return _random_aig(request.param)
+
+
+def _reference_cuts(aig, k, limit):
+    """Plain tuple-merge priority cuts: pairwise fanin-cut unions of at
+    most ``k`` leaves, deduplicated in (i, j) order, stably sorted by
+    size, dominated unions dropped, at most ``limit`` per node after the
+    trivial cut."""
+    cuts = {}
+    for nid in sorted(aig.cone(aig.and_roots())):
+        if not aig.is_and(nid):
+            cuts[nid] = [(nid,)]
+            continue
+        f0, f1 = aig.fanins(nid)
+        c0 = cuts.get(f0 >> 1) or [(f0 >> 1,)]
+        c1 = cuts.get(f1 >> 1) or [(f1 >> 1,)]
+        unions = []
+        for a in c0:
+            for b in c1:
+                union = tuple(sorted(set(a) | set(b)))
+                if len(union) <= k and union not in unions:
+                    unions.append(union)
+        unions.sort(key=len)
+        kept = [(nid,)]
+        for union in unions:
+            if any(set(prev) <= set(union) for prev in kept[1:]):
+                continue
+            kept.append(union)
+            if len(kept) > limit:
+                break
+        cuts[nid] = kept
+    return cuts
+
+
+def _check_cuts_match_reference(aig):
+    for k in (4, 6):
+        reference = _reference_cuts(aig, k, 8)
+        assert enumerate_cuts(aig, k=k, limit=8) == reference, k
+    cuts, truths = enumerate_cut_truths(aig, limit=8)
+    assert cuts == _reference_cuts(aig, 4, 8)
+    for nid, node_cuts in cuts.items():
+        assert truths[nid] == [_pad_to_4(cut_truth(aig, nid, cut), len(cut))
+                               for cut in node_cuts], nid
+
+
+def test_bitmask_cuts_match_tuple_merge_reference(netlist):
+    for aig in (from_netlist(netlist),
+                from_netlist(optimize(netlist).netlist)):
+        _check_cuts_match_reference(aig)
+
+
+def test_bitmask_cuts_match_reference_on_random_aigs(random_aig):
+    _check_cuts_match_reference(random_aig)
+    assert max(len(c) for c in enumerate_cuts(random_aig, 6, 8).values()) \
+        == 9
+
+
 # ---------------------------------------------------------------------------
 # Budgeted rewrite probes
 # ---------------------------------------------------------------------------
@@ -152,6 +246,61 @@ def test_budgeted_rewrite_matches_unbudgeted(netlist, monkeypatch):
     full = rewrite_mod.rewrite_aig(aig, stats=full_stats)
     assert budgeted.content_hash() == full.content_hash()
     assert budgeted_stats.to_dict() == full_stats.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Per-node probe memo
+# ---------------------------------------------------------------------------
+
+
+def _check_memo_is_exact(aig, monkeypatch):
+    for zero_cost in (False, True):
+        memo_stats = rewrite_mod.RewriteStats()
+        memoized = rewrite_mod.rewrite_aig(aig, stats=memo_stats,
+                                           zero_cost=zero_cost)
+        with monkeypatch.context() as patch:
+            # A fresh object never equals an earlier key: every lookup
+            # misses, so every probe runs.
+            patch.setattr(rewrite_mod, "_probe_key",
+                          lambda *args: object())
+            plain_stats = rewrite_mod.RewriteStats()
+            plain = rewrite_mod.rewrite_aig(aig, stats=plain_stats,
+                                            zero_cost=zero_cost)
+        assert memoized.content_hash() == plain.content_hash()
+        assert memo_stats.to_dict() == plain_stats.to_dict()
+        assert plain_stats.probe_memo_hits == 0
+        assert plain_stats.probes == \
+            memo_stats.probes + memo_stats.probe_memo_hits
+        assert plain_stats.fanin_probes_skipped == \
+            memo_stats.fanin_probes_skipped
+        if zero_cost:
+            assert memo_stats.fanin_probes_skipped == 0
+    return memo_stats
+
+
+def test_probe_memo_matches_unmemoized_rewrite(netlist, monkeypatch):
+    _check_memo_is_exact(from_netlist(netlist), monkeypatch)
+
+
+def test_probe_memo_matches_unmemoized_on_random_aigs(random_aig,
+                                                      monkeypatch):
+    _check_memo_is_exact(random_aig, monkeypatch)
+
+
+def test_rewrite_span_and_metrics_count_probe_work():
+    aig = from_netlist(_bench_design(_bench.alu_design, 8))
+    stats = rewrite_mod.RewriteStats()
+    tracer = Tracer()
+    with use_tracer(tracer):
+        rewrite_mod.rewrite_aig(aig, stats=stats)
+    assert stats.probes > 0 and stats.probe_memo_hits > 0
+    assert stats.fanin_probes_skipped > 0
+    assert "probes" not in stats.to_dict()
+    span = [r for r in tracer.spans() if r.name == "rewrite"][0]
+    metrics = tracer.metrics.to_dict()
+    for name in ("probes", "probe_memo_hits", "fanin_probes_skipped"):
+        assert span.args[name] == getattr(stats, name)
+        assert metrics[f"rewrite.{name}"]["value"] == getattr(stats, name)
 
 
 # ---------------------------------------------------------------------------

@@ -965,3 +965,33 @@ def test_per_pair_decide_matches_monolithic_solve(case, engine, jobs,
             verdict.compared - verdict.hash_proven
         if certify:
             assert verdict.proof_checked is True
+
+
+def test_stage_times_are_disjoint(monkeypatch):
+    """The sweep's proof checks count in ``proof_check_seconds`` only, so
+    the stage times of a certified, sweeping check sum to no more than
+    the call's wall time.  Slowed checks make a double count show."""
+    import time
+
+    from repro.netlist.opt import fraig
+
+    delay = 0.02
+    real = fraig.check_drat
+
+    def slow_check(*args, **kwargs):
+        time.sleep(delay)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fraig, "check_drat", slow_check)
+    netlist = elaborate(ALU, top="alu")
+    optimized = optimize(netlist).netlist
+    start = time.perf_counter()
+    verdict = check_equivalence(netlist, optimized, sweep=True, certify=True)
+    wall = time.perf_counter() - start
+    assert verdict.equivalent
+    assert verdict.proof_check_seconds >= delay
+    stages = (verdict.encode_seconds + verdict.sweep_seconds
+              + (verdict.preprocessor or {}).get("seconds", 0.0)
+              + verdict.solve_seconds + verdict.proof_check_seconds)
+    assert verdict.sweep_seconds >= 0
+    assert stages <= wall
